@@ -1,9 +1,11 @@
 """Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
 
-Every kernel exists in two interchangeable implementations. The ``*_np``
-versions are vectorized numpy; the jitted versions compile the equivalent
-explicit loops with ``numba.njit``. Which set is bound to the public names
-is decided once at import time:
+The pair/trace/cost kernels exist in two interchangeable implementations.
+The ``*_np`` versions are vectorized numpy; the jitted versions compile
+the equivalent explicit loops with ``numba.njit``. Two helpers are
+numpy only and have no jitted twin: ``pair_indices``, a cache, and
+``ts_swap_deltas``, batched matrix products over (R, d, d) arrays.
+Which set is bound to the public names is decided once at import time:
 
 * ``PERMBO_DISABLE_NUMBA=1`` in the environment forces the numpy path;
 * otherwise numba is used when importable, numpy when not.
@@ -17,6 +19,7 @@ batches are (n, d) arrays with one permutation per row.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -35,6 +38,40 @@ except ImportError:
 
 
 # ---------------------------------------------------------------------------
+# numpy-only helpers
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(d, 1)``, computed once per d and returned read-only.
+
+    Entry k is the pair (i, j), i < j, with linear index k in row-major
+    upper-triangle order; every pair-indexed array in permbo uses it.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Change of the TS trace under every 2-swap of every row of ``perms``.
+
+    With G = W - W^T the trace is f(pi) = 1/2 * sum(G * S), where
+    S[i, j] = sign(pi(i) - pi(j)). Swapping positions a < b changes it by
+    M[a, b] + M[b, a] - M[a, a] - M[b, b] with M = G S^T, so one d x d
+    product scores all C(d,2) neighbours. ``g`` is G, ``perms`` an (R, d)
+    batch; the result is (R, C(d,2)), pairs in ``pair_indices`` order.
+    """
+    iu, ju = pair_indices(perms.shape[1])
+    s_t = np.sign(perms[:, None, :] - perms[:, :, None]).astype(np.float64)
+    m = g @ s_t
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    return m[:, iu, ju] + m[:, ju, iu] - diag[:, iu] - diag[:, ju]
+
+
+# ---------------------------------------------------------------------------
 # pure-numpy implementations
 # ---------------------------------------------------------------------------
 
@@ -43,13 +80,13 @@ def _pair_signs(x: np.ndarray) -> np.ndarray:
     """Rows of x -> (n, C(d,2)) bool matrix: entry True iff x[i] < x[j] for pair (i,j), i<j."""
     x = np.atleast_2d(x)
     d = x.shape[1]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = pair_indices(d)
     return x[:, iu] < x[:, ju]
 
 
 def discordant_count_np(a: np.ndarray, b: np.ndarray) -> int:
     d = a.shape[0]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = pair_indices(d)
     return int(np.count_nonzero((a[iu] < a[ju]) != (b[iu] < b[ju])))
 
 
@@ -74,13 +111,13 @@ def cross_discordance_matrix_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def ts_trace_np(w_upper: np.ndarray, perm: np.ndarray) -> float:
     """Tr(W P A P^T) expanded: sum over pairs i<j of W[i,j] * sign(perm[i]-perm[j])."""
     d = perm.shape[0]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = pair_indices(d)
     return float(np.sum(w_upper[iu, ju] * np.sign(perm[iu] - perm[ju])))
 
 
 def ts_trace_batch_np(w_upper: np.ndarray, perms: np.ndarray) -> np.ndarray:
     d = perms.shape[1]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = pair_indices(d)
     signs = np.sign(perms[:, iu] - perms[:, ju]).astype(np.float64)
     return signs @ w_upper[iu, ju]
 

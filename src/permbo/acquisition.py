@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .accel import pair_indices
 from .gp import GpModel, predict_batch
 from .perm import Permutation, num_pairs
 
@@ -64,7 +65,7 @@ def build_qap(w: np.ndarray, d: int) -> QapMatrices:
     if w.ndim != 1 or w.shape[0] != m:
         raise ValueError(f"weight vector must have length C({d},2)={m}, got {w.shape}")
     W = np.zeros((d, d))
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = pair_indices(d)
     W[iu, ju] = w
     j_idx, i_idx = np.meshgrid(np.arange(d), np.arange(d))
     A = np.sign(j_idx - i_idx).astype(np.float64)

@@ -213,7 +213,7 @@ def synthetic_objective(
         value = float(w) * accel.discordant_count(p.values, s.target.values)
     else:
         d = p.d
-        iu, ju = np.triu_indices(d, 1)
+        iu, ju = accel.pair_indices(d)
         feat = np.where(p.values[iu] > p.values[ju], 1.0, -1.0) / np.sqrt(num_pairs(d))
         value = float(w @ feat)
     if s.noise_sd > 0:

@@ -180,6 +180,8 @@ def run_experiment(
     jobs: int = 1,
 ) -> tuple[list[list], list[list]]:
     """All replications -> (raw rows, aggregate rows), deterministic given seed."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     bench = parse_benchmark(uri, seed)
     make_objective(bench, np.random.default_rng(0))  # fail fast on non-runnable URIs
     args = [
@@ -357,6 +359,17 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbo", description="Bayesian optimization over permutation spaces"
@@ -368,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
     p_run.add_argument("--iters", type=int, required=True)
     p_run.add_argument("--init", type=int, default=20)
-    p_run.add_argument("--reps", type=int, default=20)
+    p_run.add_argument("--reps", type=_count, default=20)
     p_run.add_argument("--restarts", type=int, default=10)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--jobs", type=int, default=1)
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nll = sub.add_parser("nll", help="surrogate NLL comparison on held-out sets")
     p_nll.add_argument("--benchmark", required=True)
     p_nll.add_argument("--train-sizes", default="20,40,60")
-    p_nll.add_argument("--reps", type=int, default=10)
+    p_nll.add_argument("--reps", type=_count, default=10)
     p_nll.add_argument("--test-sets", type=int, default=10)
     p_nll.add_argument("--test-size", type=int, default=50)
     p_nll.add_argument("--seed", type=int, default=0)

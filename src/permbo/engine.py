@@ -127,6 +127,12 @@ class _Run:
             raise RuntimeError(
                 f"objective evaluation failed at {phase} iteration {index}"
             ) from exc
+        if not math.isfinite(y):
+            # A non-finite value would poison the GP fit several calls later.
+            raise ValueError(
+                f"objective returned {y!r} at {phase} iteration {index} "
+                f"for permutation {p.serialize()}"
+            )
         self.xs.append(p)
         self.ys.append(y)
         self.seen.add(p.values.tobytes())

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import accel
@@ -104,6 +105,19 @@ def _nlml_from_eigs(
     return 0.5 * (float(np.sum(u * u / nu)) + float(np.sum(np.log(nu))) + n * LOG_2PI)
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition, with LAPACK's MRRR driver as fallback.
+
+    numpy's ``eigh`` (divide and conquer) fails to converge on some finite
+    Mallows matrices that ``syevr`` decomposes; it is tried only then, so
+    every result numpy does produce stays exactly as it was.
+    """
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        return scipy.linalg.eigh(a, driver="evr")
+
+
 def _factor(
     base: np.ndarray, signal: float, noise: float
 ) -> tuple[np.ndarray, float]:
@@ -165,7 +179,7 @@ def fit(
         best = (math.inf, None)
         for ell in lengthscales:
             base = base_kernel_from_nd(spec_template.family, nd, d, ell)
-            lam, Q = np.linalg.eigh(base)
+            lam, Q = _eigh(base)
             u = Q.T @ y_tilde
             for signal in signals:
                 for noise in noises:

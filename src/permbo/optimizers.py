@@ -1,8 +1,9 @@
 """Optimizers over S_d: exhaustive oracle, 2-swap local search, multi-restart.
 
 The exhaustive search doubles as the correctness oracle for everything
-else; the multi-restart 2-swap search is the workhorse used to optimize
-acquisition functions and to solve the Thompson-sampling QAP. All search
+else. The generic multi-restart 2-swap search optimizes expected
+improvement; the Thompson-sampling QAP takes the same walk through a
+delta-evaluated descent specialised to its trace objective. All search
 is deterministic given the caller's random generator.
 """
 
@@ -126,65 +127,42 @@ def multi_restart_argmin(
 
 # --- QAP solve used by Thompson sampling -----------------------------------
 #
-# Three backend slots share one contract: minimize Tr(W P A P^T) over
-# permutation matrices. "exhaustive" is the oracle, "multistart" the
-# default, and "sdp" reserves the relaxation route for a future solver.
+# Two backends share one contract: minimize Tr(W P A P^T) over permutation
+# matrices. "exhaustive" is the oracle; "multistart", the default, runs the
+# delta-evaluated 2-swap descent below from every restart at once.
 
 
-def _trace_objective(q: QapMatrices) -> tuple[Objective, BatchObjective]:
+def ts_swap_descent(
+    W: np.ndarray, starts: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-improvement 2-swap descent on the TS trace from each row of ``starts``.
+
+    Takes the walk ``local_search`` takes on the full trace objective:
+    neighbours in pair order, the first best one, a move only while it
+    strictly lowers the trace, at most ``max_steps`` moves per row. All
+    rows step together, each neighbourhood scored at once by
+    ``accel.ts_swap_deltas``. ``W`` is the strictly upper-triangular QAP
+    weight matrix. Returns the final rows and their traces.
+    """
+    g = W - W.T
+    iu, ju = accel.pair_indices(starts.shape[1])
+    current = np.array(starts, dtype=np.int64)
+    active = np.arange(current.shape[0])
+    for _ in range(max_steps):
+        deltas = accel.ts_swap_deltas(g, current[active])
+        best = np.argmin(deltas, axis=1)
+        improving = deltas[np.arange(active.shape[0]), best] < 0.0
+        active, best = active[improving], best[improving]
+        if active.shape[0] == 0:
+            break
+        a, b = iu[best], ju[best]
+        current[active, a], current[active, b] = current[active, b], current[active, a]
+    return current, accel.ts_trace_batch(W, current)
+
+
+def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
     W = np.ascontiguousarray(q.W)
-
-    def single(p: Permutation) -> float:
-        return accel.ts_trace(W, p.values)
-
-    def batch(rows: np.ndarray) -> np.ndarray:
-        return accel.ts_trace_batch(W, np.ascontiguousarray(rows))
-
-    return single, batch
-
-
-def solve_qap_exhaustive(
-    q: QapMatrices,
-    budget: SearchBudget | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[Permutation, float]:
-    single, _ = _trace_objective(q)
-    return brute_force_argmin(single, q.W.shape[0])
-
-
-def solve_qap_multistart(
-    q: QapMatrices, budget: SearchBudget, rng: np.random.Generator
-) -> tuple[Permutation, float]:
-    single, batch = _trace_objective(q)
-    return multi_restart_argmin(single, q.W.shape[0], budget, rng, batch)
-
-
-def solve_qap_sdp(
-    q: QapMatrices, budget: SearchBudget, rng: np.random.Generator
-) -> tuple[Permutation, float]:
-    raise NotImplementedError("SDP relaxation backend is a reserved slot")
-
-
-QAP_BACKENDS: dict[str, Callable] = {
-    "exhaustive": solve_qap_exhaustive,
-    "multistart": solve_qap_multistart,
-    "sdp": solve_qap_sdp,
-}
-
-
-def solve_ts_qap(
-    q: QapMatrices,
-    budget: SearchBudget,
-    rng: np.random.Generator,
-    backend: str = "multistart",
-) -> Permutation:
-    """Minimize the Thompson-sampling trace objective; returns the chosen permutation."""
-    try:
-        solver = QAP_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown QAP backend {backend!r}") from None
-    p, _ = solver(q, budget, rng)
-    return p
+    return brute_force_argmin(lambda p: accel.ts_trace(W, p.values), W.shape[0])
 
 
 def solve_ts_qap_candidates(
@@ -193,13 +171,27 @@ def solve_ts_qap_candidates(
     rng: np.random.Generator,
     backend: str = "multistart",
 ) -> list[tuple[Permutation, float]]:
-    """Like solve_ts_qap but keeps every restart's result (best first)."""
+    """Minimize the Thompson-sampling trace objective; every restart's result, best first."""
     if backend == "exhaustive":
         return [solve_qap_exhaustive(q)]
     if backend == "multistart":
-        single, batch = _trace_objective(q)
-        results = multi_restart_candidates(
-            single, q.W.shape[0], budget, rng, batch
+        d = q.W.shape[0]
+        starts = np.stack(
+            [random_permutation(d, rng).values for _ in range(budget.restarts)]
         )
+        finals, values = ts_swap_descent(
+            np.ascontiguousarray(q.W), starts, budget.steps_for(d)
+        )
+        results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
         return sorted(results, key=lambda r: r[1])
     raise ValueError(f"unknown QAP backend {backend!r}")
+
+
+def solve_ts_qap(
+    q: QapMatrices,
+    budget: SearchBudget,
+    rng: np.random.Generator,
+    backend: str = "multistart",
+) -> Permutation:
+    """The best permutation ``solve_ts_qap_candidates`` finds."""
+    return solve_ts_qap_candidates(q, budget, rng, backend)[0][0]

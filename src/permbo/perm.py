@@ -145,7 +145,7 @@ def kendall_feature_matrix(perms: np.ndarray) -> np.ndarray:
     """Stack of feature maps, one row per permutation row of `perms`."""
     perms = np.atleast_2d(perms)
     d = perms.shape[1]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = accel.pair_indices(d)
     m = iu.shape[0]
     signs = np.where(perms[:, iu] > perms[:, ju], 1.0, -1.0)
     return signs / np.sqrt(m)
@@ -154,7 +154,7 @@ def kendall_feature_matrix(perms: np.ndarray) -> np.ndarray:
 def swap_neighbor_matrix(values: np.ndarray) -> np.ndarray:
     """All C(d,2) single-transposition neighbors as rows, pairs in lexicographic order."""
     d = values.shape[0]
-    iu, ju = np.triu_indices(d, 1)
+    iu, ju = accel.pair_indices(d)
     out = np.tile(values, (iu.shape[0], 1))
     rows = np.arange(iu.shape[0])
     out[rows, iu], out[rows, ju] = values[ju], values[iu]

@@ -77,6 +77,37 @@ class TestBackendEquivalence:
             assert accel.tsp_length_nb(coords, p) == accel.tsp_length_np(coords, p)
 
 
+def test_pair_indices_are_cached_read_only_triu_indices():
+    for d in range(2, 17):
+        iu, ju = accel.pair_indices(d)
+        want_i, want_j = np.triu_indices(d, 1)
+        np.testing.assert_array_equal(iu, want_i)
+        np.testing.assert_array_equal(ju, want_j)
+        assert iu.dtype == want_i.dtype and ju.dtype == want_j.dtype
+        assert not iu.flags.writeable and not ju.flags.writeable
+        assert accel.pair_indices(d)[0] is iu
+    with pytest.raises(ValueError):
+        iu[0] = 1
+
+
+def test_swap_deltas_match_full_reevaluation():
+    # Each delta is the trace of the swapped permutation minus the trace
+    # of the original, for every pair and every row of the batch.
+    rng = np.random.default_rng(7)
+    for d in range(2, 16):
+        W = np.triu(rng.standard_normal((d, d)), 1)
+        perms = _random_perms(rng, 6, d)
+        deltas = accel.ts_swap_deltas(W - W.T, perms)
+        assert deltas.shape == (6, d * (d - 1) // 2)
+        for r, perm in enumerate(perms):
+            base = accel.ts_trace_np(W, perm)
+            for k, (a, b) in enumerate(zip(*accel.pair_indices(d))):
+                swapped = perm.copy()
+                swapped[a], swapped[b] = perm[b], perm[a]
+                full = accel.ts_trace_np(W, swapped) - base
+                assert abs(deltas[r, k] - full) <= 1e-12
+
+
 def test_backend_flag_reported():
     assert accel.BACKEND in ("numba", "numpy")
     if accel.HAVE_NUMBA:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permbo.benchmarks import bundled_instance_text
-from permbo.cli import main, nll_experiment, parse_benchmark, run_experiment
+from permbo.cli import main, nll_experiment, parse_benchmark, run_experiment, run_one_rep
 
 
 def read_csv(path):
@@ -116,6 +116,39 @@ class TestCmdRun:
             "--iters", "1", "--out", str(tmp_path / "r"),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--benchmark", "synthetic:d=4", "--algo", "random", "--iters", "1"],
+        ["nll", "--benchmark", "synthetic:d=4"],
+    ])
+    def test_zero_reps_is_a_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--reps", "0", "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--reps: must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_run_experiment_rejects_zero_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_experiment("synthetic:d=4", "random", 1, 2, 0, 10, 0)
+
+    def test_non_finite_objective_exits_1(self, tmp_path, capsys):
+        qap = tmp_path / "inf.dat"
+        qap.write_text("3\n" + "inf " * 9 + "\n" + "inf " * 9)
+        rc = main([
+            "run", "--benchmark", f"qaplib:{qap}", "--algo", "bops-t",
+            "--iters", "2", "--init", "2", "--reps", "1", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective returned inf at init iteration 0 for permutation ")
+        assert err.count("\n") == 1
+
+    def test_replication_survives_nonconvergent_eigh(self):
+        # This replication fits a 40x40 Mallows matrix on which numpy's
+        # eigh does not converge (OpenBLAS, x86-64); elsewhere it simply runs.
+        rows = run_one_rep("synthetic:d=15", "bops-h", 15, 40, 20, 10, 5, 3)
+        assert len(rows) == 60
 
     def test_aggregate_recomputable_from_raw(self, tmp_path):
         out = tmp_path / "res"

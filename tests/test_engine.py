@@ -89,6 +89,21 @@ class TestTraceContracts:
         with pytest.raises(RuntimeError, match="iteration 0"):
             run_random(cfg, broken)
 
+    @pytest.mark.parametrize("algo", ["bops-t", "bops-h"])
+    def test_non_finite_value_names_iteration_and_permutation(self, algo):
+        calls = []
+
+        def nan_on_fourth_call(p):
+            calls.append(p)
+            return math.nan if len(calls) == 4 else float(sum(p.values * np.arange(p.d)))
+
+        cfg = BoConfig(algorithm=algo, d=4, n_iters=3, n_init=3, seed=5)
+        with pytest.raises(ValueError) as exc:
+            run_algorithm(cfg, nan_on_fourth_call)
+        assert str(exc.value) == (
+            f"objective returned nan at bo iteration 3 for permutation {calls[3].serialize()}"
+        )
+
     def test_algorithm_config_cross_check(self):
         cfg = BoConfig(algorithm="random", d=4, n_iters=1)
         _, objective = hidden_optimum_objective(4)

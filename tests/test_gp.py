@@ -220,6 +220,32 @@ class TestNlml:
                     _dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8
                 )
 
+    def test_eigh_failure_falls_back_to_mrrr(self, monkeypatch):
+        # numpy's eigh can fail to converge on a finite kernel matrix; the
+        # grid search must then go on with scipy's evr driver and select
+        # what it would have selected. The failure is put on the winning
+        # lengthscale, so the fallback's eigenvalues decide the fit.
+        rng = np.random.default_rng(9)
+        xs = [random_permutation(8, rng) for _ in range(40)]
+        prior = KernelSpec("mallows", lengthscale=0.5)
+        ys = sample_gp_prior(prior, xs, rng) + 0.05 * rng.standard_normal(40)
+        want = fit(KernelSpec("mallows"), xs, ys)
+        fail_at = LENGTHSCALE_GRID.index(want.spec.lengthscale)
+        numpy_eigh = np.linalg.eigh
+        calls = []
+
+        def fails_once(a):
+            calls.append(a.shape)
+            if len(calls) == fail_at + 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return numpy_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fails_once)
+        m = fit(KernelSpec("mallows"), xs, ys)
+        assert len(calls) == len(LENGTHSCALE_GRID)
+        assert m.spec == want.spec
+        assert nlml(m) == pytest.approx(_dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8)
+
 
 class TestTestNll:
     def test_standard_normal_case(self):

@@ -11,8 +11,9 @@ from permbo.optimizers import (
     multi_restart_argmin,
     multi_restart_candidates,
     solve_qap_exhaustive,
-    solve_qap_sdp,
     solve_ts_qap,
+    solve_ts_qap_candidates,
+    ts_swap_descent,
 )
 from permbo.perm import (
     Permutation,
@@ -233,9 +234,47 @@ class TestSolveTsQap:
         assert p1 == p2
         assert v2 == pytest.approx(3.5 * v1, rel=1e-12)
 
-    def test_sdp_slot_reserved(self):
+    def test_unknown_backend_rejected(self):
         q = build_qap(np.zeros(3), 3)
-        with pytest.raises(NotImplementedError):
-            solve_qap_sdp(q, SearchBudget(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             solve_ts_qap(q, SearchBudget(), np.random.default_rng(0), backend="bogus")
+
+    def test_best_of_candidates(self):
+        q = build_qap(np.random.default_rng(17).standard_normal(num_pairs(9)), 9)
+        budget = SearchBudget(restarts=6)
+        cands = solve_ts_qap_candidates(q, budget, np.random.default_rng(4))
+        assert len(cands) == 6
+        assert [v for _, v in cands] == sorted(v for _, v in cands)
+        assert solve_ts_qap(q, budget, np.random.default_rng(4)) == cands[0][0]
+
+
+class TestTsSwapDescent:
+    def test_walks_like_local_search_on_the_full_trace(self):
+        # The delta-evaluated descent must take the generic search's walk
+        # step for step, so both end on the same permutation.
+        rng = np.random.default_rng(18)
+        for trial in range(300):
+            d = 3 + trial % 13
+            objective, q = random_qap_objective(d, rng)
+            start = random_permutation(d, rng)
+            max_steps = 10 * num_pairs(d)
+            want, want_v = local_search(objective, start, max_steps)
+            finals, values = ts_swap_descent(q.W, start.values[None, :], max_steps)
+            assert Permutation(list(finals[0])) == want
+            assert values[0] == pytest.approx(want_v, abs=1e-10)
+
+    def test_rows_step_independently_and_respect_the_cap(self):
+        rng = np.random.default_rng(19)
+        d = 10
+        objective, q = random_qap_objective(d, rng)
+        starts = np.stack([random_permutation(d, rng).values for _ in range(8)])
+        for max_steps in (0, 1, 3, 1000):
+            finals, values = ts_swap_descent(q.W, starts, max_steps)
+            for start, final, v in zip(starts, finals, values):
+                want, want_v = local_search(objective, Permutation(list(start)), max_steps)
+                assert Permutation(list(final)) == want
+                assert v == pytest.approx(want_v, abs=1e-10)
+        np.testing.assert_array_equal(ts_swap_descent(q.W, starts, 0)[0], starts)
+        # A flat objective has no strictly improving move anywhere.
+        flat, _ = ts_swap_descent(np.zeros((d, d)), starts, 1)
+        np.testing.assert_array_equal(flat, starts)
