@@ -10,6 +10,7 @@ permutation with matrix P[i, pi(i)] = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,11 +55,21 @@ def expected_improvement_batch(
     return np.maximum(ei, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_matrix(d: int) -> np.ndarray:
+    """The QAP's constant A[i, j] = sign(j - i), built once per d and read-only."""
+    idx = np.arange(d)
+    A = np.sign(idx[None, :] - idx[:, None]).astype(np.float64)
+    A.setflags(write=False)
+    return A
+
+
 def build_qap(w: np.ndarray, d: int) -> QapMatrices:
     """Arrange a C(d,2) weight vector into the QAP matrices (W, A).
 
     W[i, j] = w[pair_index(i, j)] for i < j, zero elsewhere; the induced
-    objective Tr(W P A P^T) is sqrt(C(d,2)) times w^T phi(pi).
+    objective Tr(W P A P^T) is sqrt(C(d,2)) times w^T phi(pi). A depends
+    on d alone; one read-only copy per d is shared by every call.
     """
     w = np.asarray(w, dtype=np.float64)
     m = num_pairs(d)
@@ -67,6 +78,4 @@ def build_qap(w: np.ndarray, d: int) -> QapMatrices:
     W = np.zeros((d, d))
     iu, ju = pair_indices(d)
     W[iu, ju] = w
-    j_idx, i_idx = np.meshgrid(np.arange(d), np.arange(d))
-    A = np.sign(j_idx - i_idx).astype(np.float64)
-    return QapMatrices(W=W, A=A)
+    return QapMatrices(W=W, A=_sign_matrix(d))

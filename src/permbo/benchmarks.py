@@ -34,6 +34,8 @@ class QapInstance:
         for name, mat in (("A", self.A), ("B", self.B)):
             if mat.shape != (self.n, self.n):
                 raise ValueError(f"matrix {name} must be {self.n}x{self.n}, got {mat.shape}")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"matrix {name} entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,15 @@ def parse_qaplib(text: str) -> QapInstance:
             vals = np.array([float(t) for t in tokens[pos : pos + count]])
         except ValueError as exc:
             raise ValueError(f"non-numeric token while reading {what}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"non-finite value while reading {what}")
         pos += count
         return vals
 
     n_val = take(1, "n")[0]
-    n = int(n_val)
-    if n != n_val or n < 2:
+    if n_val < 2 or not n_val.is_integer():
         raise ValueError(f"invalid instance size {n_val}")
+    n = int(n_val)
     A = take(n * n, "matrix A").reshape(n, n)
     B = take(n * n, "matrix B").reshape(n, n)
     return QapInstance(n=n, A=A, B=B)

@@ -6,12 +6,15 @@ sampling. Observations are standardized internally; hyperparameters are
 selected by exhaustive, deterministic grid search on the log marginal
 likelihood.
 
-The grid search evaluates the marginal likelihood through one symmetric
-eigendecomposition of the unit-signal kernel matrix per lengthscale
-(eigenvalues shift affinely under signal/noise scaling), then the chosen
-model is Cholesky-factored for prediction. Both routes agree to well
-below test tolerances; an oracle test checks the Cholesky NLML against a
-dense log-determinant evaluation.
+The grid search makes one symmetric eigendecomposition of the unit-signal
+kernel matrix per lengthscale. Eigenvalues shift affinely under signal
+and noise scaling, so the whole (signal, noise) grid of negative log
+marginal likelihoods is then one vectorised table; the first minimum in
+(lengthscale, signal, noise) order wins. The chosen model is
+Cholesky-factored for prediction, and the Kendall weight posterior reuses
+that factor (Woodbury), so weight-space and function-space posteriors
+share one factorization. An oracle test checks both NLML routes against
+a dense log-determinant evaluation.
 """
 
 from __future__ import annotations
@@ -95,14 +98,27 @@ def _standardize(ys: np.ndarray, standardize: bool) -> tuple[float, float, np.nd
     return y_mean, y_std, (ys - y_mean) / y_std
 
 
-def _nlml_from_eigs(
-    lam: np.ndarray, u: np.ndarray, signal: float, noise: float
-) -> float:
-    nu = signal * lam + GRAM_JITTER * signal + noise
-    if np.any(nu <= 0.0):
-        return math.inf
-    n = lam.shape[0]
-    return 0.5 * (float(np.sum(u * u / nu)) + float(np.sum(np.log(nu))) + n * LOG_2PI)
+def _nlml_table(
+    lam: np.ndarray, u: np.ndarray, signals: np.ndarray, noises: np.ndarray
+) -> np.ndarray:
+    """NLML for every (signal, noise) pair, from one unit-signal eigensystem.
+
+    ``lam`` are the eigenvalues of the unit-signal kernel matrix and ``u``
+    the standardized targets in its eigenbasis. Entry [i, j] is the NLML
+    of signal*K + (GRAM_JITTER*signal + noise)*I with signals[i] and
+    noises[j], computed with the same elementwise operations in the same
+    order as for that pair alone. It is ``inf`` where an eigenvalue of
+    that matrix is not positive.
+    """
+    s = signals[:, None, None]
+    nu = s * lam + GRAM_JITTER * s + noises[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 0.5 * (
+            np.sum(u * u / nu, axis=-1)
+            + np.sum(np.log(nu), axis=-1)
+            + lam.shape[0] * LOG_2PI
+        )
+    return np.where(np.all(nu > 0.0, axis=-1) & ~np.isnan(val), val, math.inf)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,8 +182,8 @@ def fit(
     nd = accel.discordance_matrix(x_array)
 
     if optimize:
-        signals = tuple(signal_grid) if signal_grid is not None else SIGNAL_GRID
-        noises = tuple(noise_grid) if noise_grid is not None else NOISE_GRID
+        signals = np.asarray(SIGNAL_GRID if signal_grid is None else signal_grid, dtype=np.float64)
+        noises = np.asarray(NOISE_GRID if noise_grid is None else noise_grid, dtype=np.float64)
         if spec_template.family == MALLOWS:
             lengthscales = (
                 tuple(lengthscale_grid)
@@ -176,20 +192,16 @@ def fit(
             )
         else:
             lengthscales = (spec_template.lengthscale,)
-        best = (math.inf, None)
+        best_val, best = math.inf, None
         for ell in lengthscales:
-            base = base_kernel_from_nd(spec_template.family, nd, d, ell)
-            lam, Q = _eigh(base)
-            u = Q.T @ y_tilde
-            for signal in signals:
-                for noise in noises:
-                    val = _nlml_from_eigs(lam, u, signal, noise)
-                    if val < best[0]:
-                        best = (val, (signal, noise, ell))
-        if best[1] is None:
+            lam, Q = _eigh(base_kernel_from_nd(spec_template.family, nd, d, ell))
+            table = _nlml_table(lam, Q.T @ y_tilde, signals, noises)
+            i, j = np.unravel_index(np.argmin(table), table.shape)
+            if table[i, j] < best_val:
+                best_val, best = table[i, j], (ell, float(signals[i]), float(noises[j]))
+        if best is None:
             raise np.linalg.LinAlgError("no admissible hyperparameters on the grid")
-        signal, noise, ell = best[1]
-        spec = KernelSpec(spec_template.family, ell, signal, noise)
+        spec = KernelSpec(spec_template.family, *best)
     else:
         spec = spec_template
 
@@ -274,28 +286,28 @@ def test_nll(
 def weight_posterior(m: GpModel) -> WeightPosterior:
     """Exact Gaussian posterior over Kendall feature weights.
 
-    With prior w ~ N(0, signal*I) and observations y = Phi^T w + eps,
-    the posterior covariance is (Phi Phi^T / s2 + I/signal)^-1 and the
-    mean is Cov * Phi * y / s2. The diagonal jitter used when factoring
-    the Gram matrix is folded into the effective noise s2, which makes
-    weight-space and function-space posteriors agree exactly (this is
-    the tractability property that a finite feature map buys).
+    With prior w ~ N(0, s*I) on the C(d,2) weights and observations
+    y = Phi w + eps, eps ~ N(0, s2*I), where Phi is the n x C(d,2) feature
+    matrix and s2 is the fitted noise plus the jitter that was used when
+    factoring, the posterior is N(s*Phi^T alpha, s*I - s^2 Phi^T M^-1 Phi)
+    with M = s*Phi Phi^T + s2*I (Woodbury). M is the matrix the fit
+    already factored as L L^T and alpha = M^-1 y, so one triangular solve
+    V = L^-1 Phi gives the covariance s*I - s^2 V^T V. Weight-space and
+    function-space posteriors therefore agree by construction (the
+    tractability property that a finite feature map buys).
     """
     if m.spec.family != KENDALL:
         raise ValueError(
             "weight-space posterior needs the finite Kendall feature map; "
             "the Mallows feature space is exponentially large"
         )
-    phi = kendall_feature_matrix(m.x_array).T  # (n_features, n)
-    s2_eff = m.spec.noise_variance + m.jitter
-    n_feat = phi.shape[0]
-    A = phi @ phi.T / s2_eff + np.eye(n_feat) / m.spec.signal_variance
-    La = cholesky(A, lower=True)
-    cov = cho_solve((La, True), np.eye(n_feat))
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (phi @ m.y_tilde) / s2_eff
-    cov_factor = cholesky(cov, lower=True)
-    return WeightPosterior(d=m.d, mean=mean, cov_factor=cov_factor)
+    phi = kendall_feature_matrix(m.x_array)  # (n, n_features)
+    s = m.spec.signal_variance
+    V = solve_triangular(m.chol, phi, lower=True)
+    cov = -(s * s) * (V.T @ V)
+    cov[np.diag_indices_from(cov)] += s
+    mean = s * (phi.T @ m.alpha)
+    return WeightPosterior(d=m.d, mean=mean, cov_factor=cholesky(cov, lower=True))
 
 
 def prior_weight_posterior(d: int, signal_variance: float = 1.0) -> WeightPosterior:

@@ -58,7 +58,8 @@ def brute_force_argmin(
         v = float(objective(p))
         if v < best_v:
             best_p, best_v = p, v
-    assert best_p is not None
+    if best_p is None:
+        raise ValueError(f"objective is inf or nan on every permutation of size {d}")
     return best_p, best_v
 
 

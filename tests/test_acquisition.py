@@ -97,6 +97,16 @@ class TestBuildQap:
         assert np.all(np.sign(q.A[np.triu_indices(5, 1)]) == 1)
         np.testing.assert_array_equal(np.diag(q.A), np.zeros(5))
 
+    def test_sign_matrix_is_shared_and_read_only(self):
+        rng = np.random.default_rng(3)
+        for d in (2, 5, 15):
+            a = build_qap(rng.standard_normal(num_pairs(d)), d)
+            b = build_qap(rng.standard_normal(num_pairs(d)), d)
+            assert a.A is b.A
+            assert not a.A.flags.writeable
+            j_idx, i_idx = np.meshgrid(np.arange(d), np.arange(d))
+            np.testing.assert_array_equal(a.A, np.sign(j_idx - i_idx).astype(np.float64))
+
     def test_trace_reproduces_linear_objective(self):
         rng = np.random.default_rng(3)
         for d in (2, 3, 4, 5):

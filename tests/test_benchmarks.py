@@ -72,6 +72,25 @@ class TestQaplibParsing:
         with pytest.raises(ValueError):
             parse_qaplib("1\n0\n0")
 
+    @pytest.mark.parametrize("size", ["inf", "-inf", "nan", "2.5", "1e400"])
+    def test_invalid_size_token(self, size):
+        with pytest.raises(ValueError, match="n"):
+            parse_qaplib(f"{size}\n0 1 1 0\n0 3 3 0")
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("matrix", ["A", "B"])
+    def test_non_finite_entry(self, token, matrix):
+        a, b = ["0", "1", "1", "0"], ["0", "3", "3", "0"]
+        (a if matrix == "A" else b)[2] = token
+        with pytest.raises(ValueError, match=f"non-finite value while reading matrix {matrix}"):
+            parse_qaplib("2\n" + " ".join(a) + "\n" + " ".join(b))
+
+    def test_instance_rejects_non_finite_matrix(self):
+        ok = np.ones((2, 2))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="matrix B entries must be finite"):
+                QapInstance(n=2, A=ok, B=np.array([[0.0, bad], [1.0, 0.0]]))
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         n = 6

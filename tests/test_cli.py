@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permbo
 from permbo.benchmarks import bundled_instance_text
 from permbo.cli import main, nll_experiment, parse_benchmark, run_experiment, run_one_rep
 
@@ -133,12 +138,15 @@ class TestCmdRun:
             run_experiment("synthetic:d=4", "random", 1, 2, 0, 10, 0)
 
     def test_non_finite_objective_exits_1(self, tmp_path, capsys):
-        qap = tmp_path / "inf.dat"
-        qap.write_text("3\n" + "inf " * 9 + "\n" + "inf " * 9)
-        rc = main([
-            "run", "--benchmark", f"qaplib:{qap}", "--algo", "bops-t",
-            "--iters", "2", "--init", "2", "--reps", "1", "--out", str(tmp_path / "r"),
-        ])
+        # Finite entries whose products overflow: the instance loads, and
+        # every evaluation returns inf.
+        qap = tmp_path / "overflow.dat"
+        qap.write_text("3\n" + "1e200 " * 9 + "\n" + "1e200 " * 9)
+        with np.errstate(over="ignore"):
+            rc = main([
+                "run", "--benchmark", f"qaplib:{qap}", "--algo", "bops-t",
+                "--iters", "2", "--init", "2", "--reps", "1", "--out", str(tmp_path / "r"),
+            ])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: objective returned inf at init iteration 0 for permutation ")
@@ -255,3 +263,49 @@ class TestCmdSolveQap:
         qap = tmp_path / "q15.dat"
         qap.write_text(bundled_instance_text("qap15.dat"))
         assert main(["solve-qap", str(qap), "--exact"]) == 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3\n0 1 2 1 0 inf 2 1 0\n0 1 1 1 0 1 1 1 0", "non-finite value while reading matrix A"),
+            ("3\n0 1 2 1 0 1 2 1 0\n0 1 1 1 0 nan 1 1 0", "non-finite value while reading matrix B"),
+            ("inf\n0 1 1 0\n0 3 3 0", "non-finite value while reading n"),
+            ("nan\n0 1 1 0\n0 3 3 0", "non-finite value while reading n"),
+        ],
+    )
+    def test_non_finite_instance_exits_1(self, tmp_path, capsys, text, message, exact):
+        qap = tmp_path / "bad.dat"
+        qap.write_text(text)
+        rc = main(["solve-qap", str(qap)] + (["--exact"] if exact else []))
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_exact_without_finite_value_exits_1(self, tmp_path, capsys):
+        qap = tmp_path / "overflow.dat"
+        qap.write_text("3\n" + "1e200 " * 9 + "\n" + "1e200 " * 9)
+        with np.errstate(over="ignore"):
+            rc = main(["solve-qap", str(qap), "--exact"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == "error: objective is inf or nan on every permutation of size 3\n"
+
+    def test_python_dash_m(self, qap_file):
+        # The route that works without the install: python -m permbo.
+        src = str(Path(permbo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "permbo", "solve-qap"]
+        ok = subprocess.run(cmd + [str(qap_file)], env=env, capture_output=True, text=True)
+        assert ok.returncode == 0, ok.stderr
+        perm, value = ok.stdout.split()
+        assert float(value) == 6.0
+        assert sorted(perm.split(",")) == ["0", "1"]
+        missing = subprocess.run(
+            cmd + [str(qap_file) + ".missing"], env=env, capture_output=True, text=True
+        )
+        assert missing.returncode == 1
+        assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from permbo import accel, gp
 from permbo.gp import (
     LENGTHSCALE_GRID,
     NOISE_GRID,
@@ -17,11 +19,12 @@ from permbo.gp import (
     test_nll as predictive_nll,
     weight_posterior,
 )
-from permbo.kernels import GRAM_JITTER, KernelSpec, gram_matrix
+from permbo.kernels import GRAM_JITTER, KernelSpec, base_kernel_from_nd, gram_matrix
 from permbo.perm import (
     Permutation,
     discordant_pairs,
     kendall_feature_map,
+    kendall_feature_matrix,
     random_permutation,
 )
 
@@ -42,6 +45,28 @@ def _dense_nlml(spec, xs, y_tilde):
     _, logdet = np.linalg.slogdet(M)
     quad = y_tilde @ np.linalg.solve(M, y_tilde)
     return 0.5 * (quad + logdet + len(xs) * math.log(2 * math.pi))
+
+
+def _scalar_nlml(lam, u, signal, noise):
+    """One grid entry evaluated alone, as the grid search once did per pair."""
+    nu = signal * lam + GRAM_JITTER * signal + noise
+    if np.any(nu <= 0.0):
+        return math.inf
+    n = lam.shape[0]
+    return 0.5 * (float(np.sum(u * u / nu)) + float(np.sum(np.log(nu))) + n * math.log(2 * math.pi))
+
+
+def _feature_space_posterior(m):
+    """Oracle: the weight posterior from the C(d,2) x C(d,2) precision matrix.
+
+    Cov = (Phi^T Phi / s2 + I / s)^-1 and mean = Cov Phi^T y / s2, with s2
+    the fitted noise plus the jitter the fit used.
+    """
+    phi = kendall_feature_matrix(m.x_array)
+    s2 = m.spec.noise_variance + m.jitter
+    precision = phi.T @ phi / s2 + np.eye(phi.shape[1]) / m.spec.signal_variance
+    cov = np.linalg.inv(precision)
+    return cov @ (phi.T @ m.y_tilde) / s2, cov
 
 
 class TestFit:
@@ -247,6 +272,69 @@ class TestNlml:
         assert nlml(m) == pytest.approx(_dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8)
 
 
+class TestNlmlTable:
+    @pytest.mark.parametrize(
+        "family, d, n, lengthscales",
+        [
+            ("kendall", 7, 20, (1.0,)),
+            ("kendall", 4, 40, (1.0,)),  # n > C(4,2) = 6: a rank-deficient kernel
+            ("mallows", 6, 25, (0.01, 0.3, 3.0)),
+        ],
+    )
+    def test_every_entry_matches_dense_oracle(self, family, d, n, lengthscales):
+        rng = np.random.default_rng(30 + n)
+        xs, ys = _dataset(rng, d, n)
+        y_tilde = (ys - ys.mean()) / ys.std()
+        nd = accel.discordance_matrix(np.stack([p.values for p in xs]))
+        signals, noises = np.array(SIGNAL_GRID), np.array(NOISE_GRID)
+        for ell in lengthscales:
+            lam, Q = np.linalg.eigh(base_kernel_from_nd(family, nd, d, ell))
+            u = Q.T @ y_tilde
+            table = gp._nlml_table(lam, u, signals, noises)
+            assert table.shape == (len(SIGNAL_GRID), len(NOISE_GRID))
+            for (i, s), (j, nv) in itertools.product(enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)):
+                oracle = _dense_nlml(KernelSpec(family, ell, s, nv), xs, y_tilde)
+                assert table[i, j] == pytest.approx(oracle, rel=1e-10, abs=1e-8)
+                # Bit for bit what the same pair gives alone, so the grid
+                # search selects exactly what a pair-by-pair loop would.
+                assert table[i, j] == _scalar_nlml(lam, u, s, nv)
+
+    def test_non_positive_eigenvalue_gives_inf(self):
+        lam = np.array([-2e-3, 0.5, 2.0])
+        u = np.array([1.0, -2.0, 0.5])
+        table = gp._nlml_table(lam, u, np.array(SIGNAL_GRID), np.array(NOISE_GRID))
+        for (i, s), (j, nv) in itertools.product(enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)):
+            admissible = s * lam[0] + GRAM_JITTER * s + nv > 0.0
+            assert np.isfinite(table[i, j]) == admissible
+            assert table[i, j] == _scalar_nlml(lam, u, s, nv)
+        assert np.isinf(table).any() and np.isfinite(table).any()
+
+    def test_tie_across_lengthscales_goes_to_the_first(self):
+        # With every pair discordant somewhere, exp(-l * n_d) underflows to 0
+        # off the diagonal for l >= 800: both lengthscales give the identity
+        # kernel and equal NLML tables.
+        xs = [Permutation(t) for t in itertools.islice(itertools.permutations(range(6)), 12)]
+        ys = np.arange(12.0) % 5
+        for grid in ((800.0, 1000.0), (1000.0, 800.0)):
+            m = fit(KernelSpec("mallows"), xs, ys, lengthscale_grid=grid)
+            assert m.spec.lengthscale == grid[0]
+
+    def test_tie_goes_to_first_entry_in_grid_order(self, monkeypatch):
+        # Tables as (signal, noise) arrays, one per lengthscale: the minimum 0
+        # appears at (1, 2) and (2, 0) for the second lengthscale and at
+        # (0, 0) for the third; the first of them in (l, signal, noise)
+        # order must win.
+        tables = [np.ones((5, 4)) for _ in range(3)]
+        tables[1][1, 2] = tables[1][2, 0] = 0.0
+        tables[2][0, 0] = 0.0
+        served = iter(tables)
+        monkeypatch.setattr(gp, "_nlml_table", lambda *args: next(served))
+        rng = np.random.default_rng(31)
+        xs, ys = _dataset(rng, 6, 10)
+        m = fit(KernelSpec("mallows"), xs, ys, lengthscale_grid=(0.1, 0.2, 0.3))
+        assert m.spec == KernelSpec("mallows", 0.2, SIGNAL_GRID[1], NOISE_GRID[2])
+
+
 class TestTestNll:
     def test_standard_normal_case(self):
         # One training point, query at kendall distance exactly 0: the
@@ -312,6 +400,39 @@ class TestWeightPosterior:
                 mean_f, var_f = predict(m, q)
                 assert mean_w == pytest.approx(mean_f, abs=1e-8)
                 assert var_w == pytest.approx(var_f, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [10, 45, 80])  # C(10,2) = 45 features
+    def test_matches_feature_space_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        xs, ys = _dataset(rng, 10, n)
+        m = fit(KernelSpec("kendall"), xs, ys)
+        wp = weight_posterior(m)
+        mean, cov = _feature_space_posterior(m)
+        assert np.max(np.abs(wp.mean - mean)) <= 1e-9
+        assert np.max(np.abs(wp.cov_factor @ wp.cov_factor.T - cov)) <= 1e-9
+        assert np.max(np.abs(wp.cov_factor - np.linalg.cholesky(cov))) <= 1e-9
+
+    def test_matches_feature_space_oracle_after_jitter_escalation(self, monkeypatch):
+        # The first Cholesky of the fit fails, so the factor carries ten
+        # times the base jitter; the posterior must use that factor's jitter.
+        real_cholesky = gp.cholesky
+        calls = []
+
+        def fails_once(a, lower=False):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(a, lower=lower)
+
+        monkeypatch.setattr(gp, "cholesky", fails_once)
+        rng = np.random.default_rng(41)
+        xs, ys = _dataset(rng, 8, 30)
+        m = fit(KernelSpec("kendall"), xs, ys)
+        assert m.jitter == pytest.approx(10 * GRAM_JITTER * m.spec.signal_variance, rel=1e-12)
+        wp = weight_posterior(m)
+        mean, cov = _feature_space_posterior(m)
+        assert np.max(np.abs(wp.mean - mean)) <= 1e-9
+        assert np.max(np.abs(wp.cov_factor @ wp.cov_factor.T - cov)) <= 1e-9
 
     def test_mallows_refused(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestBruteForce:
     def test_rejects_large_d(self):
         with pytest.raises(ValueError):
             brute_force_argmin(lambda p: 0.0, 10)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_no_value_below_inf_raises(self, value):
+        # A plain check, not an assert, so it also holds under python -O.
+        with pytest.raises(ValueError, match="inf or nan on every permutation of size 3"):
+            brute_force_argmin(lambda p: value, 3)
 
 
 class TestLocalSearch:
