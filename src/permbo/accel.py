@@ -1,17 +1,11 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels over permutation batches, in numpy.
 
-The pair/trace/cost kernels exist in two interchangeable implementations.
-The ``*_np`` versions are vectorized numpy; the jitted versions compile
-the equivalent explicit loops with ``numba.njit``. Two helpers are
-numpy only and have no jitted twin: ``pair_indices``, a cache, and
-``ts_swap_deltas``, batched matrix products over (R, d, d) arrays.
-Which set is bound to the public names is decided once at import time:
-
-* ``PERMBO_DISABLE_NUMBA=1`` in the environment forces the numpy path;
-* otherwise numba is used when importable, numpy when not.
-
-``BACKEND`` records the active choice. ``bench/bench_backends.py`` times
-both sets against each other.
+Every pair statistic is built from one primitive, ``pair_signs``: the
++-1 signs of the C(d,2) object pairs, in ``pair_indices`` order. The
+discordant-pair counts behind the Kendall and Mallows kernels and the
+Thompson-sampling trace are products of sign rows. ``ts_swap_deltas``
+is the one exception: its matrix product needs both triangles, so it
+builds the full d x d sign matrix.
 
 Permutations are passed as int64 arrays (value at position i is pi(i));
 batches are (n, d) arrays with one permutation per row.
@@ -20,26 +14,11 @@ batches are (n, d) arrays with one permutation per row.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-_flag = os.environ.get("PERMBO_DISABLE_NUMBA", "").strip().lower()
-_numba_wanted = _flag not in {"1", "true", "yes", "on"}
-
-try:
-    if not _numba_wanted:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy-only helpers
-# ---------------------------------------------------------------------------
+#: The implementation in use; recorded by the benchmark harness.
+BACKEND = "numpy"
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,6 +32,49 @@ def pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     iu.setflags(write=False)
     ju.setflags(write=False)
     return iu, ju
+
+
+def pair_signs(x: np.ndarray) -> np.ndarray:
+    """(n, C(d,2)) float64 matrix of pair signs for the rows of ``x``.
+
+    Entry (r, k) is +1 where x[r, i] > x[r, j] and -1 otherwise, for the
+    k-th pair (i, j) of ``pair_indices(d)``. A 1-D ``x`` is one row.
+    """
+    x = np.atleast_2d(x)
+    iu, ju = pair_indices(x.shape[1])
+    s = (x[:, iu] > x[:, ju]).astype(np.float64)
+    s *= 2.0
+    s -= 1.0
+    return s
+
+
+def discordant_count(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of pairs that permutations ``a`` and ``b`` order oppositely."""
+    s = pair_signs(np.stack([a, b]))
+    return int(np.count_nonzero(s[0] != s[1]))
+
+
+def _discordances(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    # Each sign product is +1 on a concordant pair and -1 on a discordant
+    # one, so n_d = (C(d,2) - sx . sy) / 2; the sums are exact integers.
+    return np.rint((sx.shape[1] - sx @ sy.T) / 2.0).astype(np.int64)
+
+
+def discordance_matrix(x: np.ndarray) -> np.ndarray:
+    """(n, n) discordant-pair counts between the rows of ``x``."""
+    s = pair_signs(x)
+    return _discordances(s, s)
+
+
+def cross_discordance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, q) discordant-pair counts between the rows of ``x`` and of ``y``."""
+    return _discordances(pair_signs(x), pair_signs(y))
+
+
+def ts_trace_batch(w_upper: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Tr(W P A P^T) per row: sum over pairs i < j of W[i, j] * sign(pi(i) - pi(j))."""
+    iu, ju = pair_indices(perms.shape[1])
+    return pair_signs(perms) @ w_upper[iu, ju]
 
 
 def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -71,228 +93,14 @@ def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return m[:, iu, ju] + m[:, ju, iu] - diag[:, iu] - diag[:, ju]
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def qap_cost(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
+    """sum_{i,j} a[i, j] * b[perm(i), perm(j)]; an overflow gives inf or nan, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(a * b[np.ix_(perm, perm)]))
 
 
-def _pair_signs(x: np.ndarray) -> np.ndarray:
-    """Rows of x -> (n, C(d,2)) bool matrix: entry True iff x[i] < x[j] for pair (i,j), i<j."""
-    x = np.atleast_2d(x)
-    d = x.shape[1]
-    iu, ju = pair_indices(d)
-    return x[:, iu] < x[:, ju]
-
-
-def discordant_count_np(a: np.ndarray, b: np.ndarray) -> int:
-    d = a.shape[0]
-    iu, ju = pair_indices(d)
-    return int(np.count_nonzero((a[iu] < a[ju]) != (b[iu] < b[ju])))
-
-
-def discordance_matrix_np(x: np.ndarray) -> np.ndarray:
-    # Hamming distance between rows of the pairwise order matrix, via BLAS.
-    f = _pair_signs(x).astype(np.float64)
-    m = f.shape[1]
-    matches = f @ f.T + (1.0 - f) @ (1.0 - f).T
-    nd = np.rint(m - matches).astype(np.int64)
-    np.fill_diagonal(nd, 0)
-    return nd
-
-
-def cross_discordance_matrix_np(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fx = _pair_signs(x).astype(np.float64)
-    fy = _pair_signs(y).astype(np.float64)
-    m = fx.shape[1]
-    matches = fx @ fy.T + (1.0 - fx) @ (1.0 - fy).T
-    return np.rint(m - matches).astype(np.int64)
-
-
-def ts_trace_np(w_upper: np.ndarray, perm: np.ndarray) -> float:
-    """Tr(W P A P^T) expanded: sum over pairs i<j of W[i,j] * sign(perm[i]-perm[j])."""
-    d = perm.shape[0]
-    iu, ju = pair_indices(d)
-    return float(np.sum(w_upper[iu, ju] * np.sign(perm[iu] - perm[ju])))
-
-
-def ts_trace_batch_np(w_upper: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    d = perms.shape[1]
-    iu, ju = pair_indices(d)
-    signs = np.sign(perms[:, iu] - perms[:, ju]).astype(np.float64)
-    return signs @ w_upper[iu, ju]
-
-
-def qap_cost_np(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
-    return float(np.sum(a * b[np.ix_(perm, perm)]))
-
-
-def qap_cost_batch_np(a: np.ndarray, b: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    return np.array([qap_cost_np(a, b, p) for p in perms])
-
-
-def tsp_length_np(coords: np.ndarray, perm: np.ndarray) -> float:
+def tsp_length(coords: np.ndarray, perm: np.ndarray) -> float:
     # TSPLIB EUC_2D: each edge rounded to nearest integer before summing.
     tour = coords[perm]
     diff = tour - np.roll(tour, -1, axis=0)
     return float(np.sum(np.floor(np.hypot(diff[:, 0], diff[:, 1]) + 0.5)))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same semantics, explicit loops)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _discordant_count_nb(a, b):  # pragma: no cover - exercised via dispatch
-        d = a.shape[0]
-        nd = 0
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                if (a[i] < a[j]) != (b[i] < b[j]):
-                    nd += 1
-        return nd
-
-    @njit(cache=True)
-    def _pair_sign_rows_nb(x):  # pragma: no cover
-        n, d = x.shape
-        m = d * (d - 1) // 2
-        out = np.empty((n, m), dtype=np.uint8)
-        for r in range(n):
-            k = 0
-            for i in range(d - 1):
-                for j in range(i + 1, d):
-                    out[r, k] = 1 if x[r, i] < x[r, j] else 0
-                    k += 1
-        return out
-
-    @njit(cache=True)
-    def _discordance_matrix_nb(x):  # pragma: no cover
-        f = _pair_sign_rows_nb(x)
-        n, m = f.shape
-        out = np.zeros((n, n), dtype=np.int64)
-        for r in range(n):
-            for s in range(r + 1, n):
-                nd = 0
-                for k in range(m):
-                    nd += f[r, k] != f[s, k]
-                out[r, s] = nd
-                out[s, r] = nd
-        return out
-
-    @njit(cache=True)
-    def _cross_discordance_matrix_nb(x, y):  # pragma: no cover
-        fx = _pair_sign_rows_nb(x)
-        fy = _pair_sign_rows_nb(y)
-        n, m = fx.shape
-        nq = fy.shape[0]
-        out = np.zeros((n, nq), dtype=np.int64)
-        for r in range(n):
-            for s in range(nq):
-                nd = 0
-                for k in range(m):
-                    nd += fx[r, k] != fy[s, k]
-                out[r, s] = nd
-        return out
-
-    @njit(cache=True)
-    def _ts_trace_nb(w_upper, perm):  # pragma: no cover
-        d = perm.shape[0]
-        total = 0.0
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                if perm[i] > perm[j]:
-                    total += w_upper[i, j]
-                else:
-                    total -= w_upper[i, j]
-        return total
-
-    @njit(cache=True)
-    def _ts_trace_batch_nb(w_upper, perms):  # pragma: no cover
-        n, d = perms.shape
-        out = np.empty(n, dtype=np.float64)
-        for r in range(n):
-            total = 0.0
-            for i in range(d - 1):
-                for j in range(i + 1, d):
-                    if perms[r, i] > perms[r, j]:
-                        total += w_upper[i, j]
-                    else:
-                        total -= w_upper[i, j]
-            out[r] = total
-        return out
-
-    @njit(cache=True)
-    def _qap_cost_nb(a, b, perm):  # pragma: no cover
-        d = perm.shape[0]
-        total = 0.0
-        for i in range(d):
-            for j in range(d):
-                total += a[i, j] * b[perm[i], perm[j]]
-        return total
-
-    @njit(cache=True)
-    def _qap_cost_batch_nb(a, b, perms):  # pragma: no cover
-        n, d = perms.shape
-        out = np.empty(n, dtype=np.float64)
-        for r in range(n):
-            total = 0.0
-            for i in range(d):
-                for j in range(d):
-                    total += a[i, j] * b[perms[r, i], perms[r, j]]
-            out[r] = total
-        return out
-
-    @njit(cache=True)
-    def _tsp_length_nb(coords, perm):  # pragma: no cover
-        n = perm.shape[0]
-        total = 0.0
-        for i in range(n):
-            j = (i + 1) % n
-            dx = coords[perm[i], 0] - coords[perm[j], 0]
-            dy = coords[perm[i], 1] - coords[perm[j], 1]
-            total += np.floor(np.sqrt(dx * dx + dy * dy) + 0.5)
-        return total
-
-    def discordant_count_nb(a, b):
-        return int(_discordant_count_nb(a, b))
-
-    def tsp_length_nb(coords, perm):
-        return float(_tsp_length_nb(coords, perm))
-
-    def ts_trace_nb(w_upper, perm):
-        return float(_ts_trace_nb(w_upper, perm))
-
-    def qap_cost_nb(a, b, perm):
-        return float(_qap_cost_nb(a, b, perm))
-
-    discordance_matrix_nb = _discordance_matrix_nb
-    cross_discordance_matrix_nb = _cross_discordance_matrix_nb
-    ts_trace_batch_nb = _ts_trace_batch_nb
-    qap_cost_batch_nb = _qap_cost_batch_nb
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    discordant_count = discordant_count_nb
-    discordance_matrix = discordance_matrix_nb
-    cross_discordance_matrix = cross_discordance_matrix_nb
-    ts_trace = ts_trace_nb
-    ts_trace_batch = ts_trace_batch_nb
-    qap_cost = qap_cost_nb
-    qap_cost_batch = qap_cost_batch_nb
-    tsp_length = tsp_length_nb
-else:
-    BACKEND = "numpy"
-    discordant_count = discordant_count_np
-    discordance_matrix = discordance_matrix_np
-    cross_discordance_matrix = cross_discordance_matrix_np
-    ts_trace = ts_trace_np
-    ts_trace_batch = ts_trace_batch_np
-    qap_cost = qap_cost_np
-    qap_cost_batch = qap_cost_batch_np
-    tsp_length = tsp_length_np

@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import accel
-from .perm import Permutation, num_pairs
+from .perm import Permutation, kendall_feature_map, num_pairs
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,7 @@ def synthetic_objective(
     if w.ndim == 0:
         value = float(w) * accel.discordant_count(p.values, s.target.values)
     else:
-        d = p.d
-        iu, ju = accel.pair_indices(d)
-        feat = np.where(p.values[iu] > p.values[ju], 1.0, -1.0) / np.sqrt(num_pairs(d))
-        value = float(w @ feat)
+        value = float(w @ kendall_feature_map(p))
     if s.noise_sd > 0:
         if rng is None:
             raise ValueError("noise_sd > 0 requires a random generator")

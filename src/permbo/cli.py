@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -355,6 +356,8 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
         best, value = multi_restart_argmin(
             objective, inst.n, SearchBudget(restarts=args.restarts), rng
         )
+    if not math.isfinite(value):
+        raise ValueError(f"objective returned {value!r} for permutation {best.serialize()}")
     print(f"{best.serialize()} {value!r}")
     return 0
 

@@ -37,7 +37,7 @@ from .kernels import (
     gram_matrix,
     stack_values,
 )
-from .perm import Permutation, kendall_feature_matrix, num_pairs
+from .perm import Permutation, kendall_feature_matrix
 
 SIGNAL_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -308,16 +308,6 @@ def weight_posterior(m: GpModel) -> WeightPosterior:
     cov[np.diag_indices_from(cov)] += s
     mean = s * (phi.T @ m.alpha)
     return WeightPosterior(d=m.d, mean=mean, cov_factor=cholesky(cov, lower=True))
-
-
-def prior_weight_posterior(d: int, signal_variance: float = 1.0) -> WeightPosterior:
-    """The no-data case: zero mean, covariance signal_variance * I."""
-    n_feat = num_pairs(d)
-    return WeightPosterior(
-        d=d,
-        mean=np.zeros(n_feat),
-        cov_factor=math.sqrt(signal_variance) * np.eye(n_feat),
-    )
 
 
 def sample_weights(wp: WeightPosterior, rng: np.random.Generator) -> np.ndarray:

@@ -162,8 +162,9 @@ def ts_swap_descent(
 
 
 def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
-    W = np.ascontiguousarray(q.W)
-    return brute_force_argmin(lambda p: accel.ts_trace(W, p.values), W.shape[0])
+    return brute_force_argmin(
+        lambda p: float(accel.ts_trace_batch(q.W, p.values[None, :])[0]), q.W.shape[0]
+    )
 
 
 def solve_ts_qap_candidates(

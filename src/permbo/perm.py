@@ -143,12 +143,8 @@ def kendall_feature_map(p: Permutation) -> np.ndarray:
 
 def kendall_feature_matrix(perms: np.ndarray) -> np.ndarray:
     """Stack of feature maps, one row per permutation row of `perms`."""
-    perms = np.atleast_2d(perms)
-    d = perms.shape[1]
-    iu, ju = accel.pair_indices(d)
-    m = iu.shape[0]
-    signs = np.where(perms[:, iu] > perms[:, ju], 1.0, -1.0)
-    return signs / np.sqrt(m)
+    signs = accel.pair_signs(perms)
+    return signs / np.sqrt(signs.shape[1])
 
 
 def swap_neighbor_matrix(values: np.ndarray) -> np.ndarray:

@@ -1,80 +1,126 @@
-"""The numba and numpy backends must be interchangeable bit for bit (integers)
-or to floating tolerance (sums accumulated in different orders)."""
+"""The pair kernels against plain-Python double loops over the object pairs.
+
+Integer statistics must match exactly; the trace, a float sum taken in a
+different order, to 1e-12.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permbo import accel
+from permbo.perm import kendall_feature_matrix
+
+# No deadline: the reference loops are slow next to the kernels they check.
+reference = settings(max_examples=100, deadline=None)
 
 
 def _random_perms(rng, n, d):
     return np.stack([rng.permutation(d) for _ in range(n)]).astype(np.int64)
 
 
-numba_only = pytest.mark.skipif(not accel.HAVE_NUMBA, reason="numba unavailable")
+@st.composite
+def perm_batches(draw, count=1, max_rows=6):
+    """``count`` (n, d) int64 batches of permutations sharing d in 2..16."""
+    d = draw(st.integers(2, 16))
+    rows = st.lists(st.permutations(range(d)), min_size=1, max_size=max_rows)
+    return tuple(np.array(draw(rows), dtype=np.int64) for _ in range(count))
 
 
-@numba_only
-class TestBackendEquivalence:
-    def test_discordant_count(self):
-        rng = np.random.default_rng(0)
-        for d in (2, 3, 7, 16):
-            for _ in range(20):
-                a, b = rng.permutation(d).astype(np.int64), rng.permutation(d).astype(np.int64)
-                assert accel.discordant_count_nb(a, b) == accel.discordant_count_np(a, b)
+def _ref_signs(row):
+    d = len(row)
+    return [1.0 if row[i] > row[j] else -1.0 for i in range(d) for j in range(i + 1, d)]
 
-    def test_discordance_matrix(self):
-        rng = np.random.default_rng(1)
-        x = _random_perms(rng, 40, 9)
-        np.testing.assert_array_equal(
-            accel.discordance_matrix_nb(x), accel.discordance_matrix_np(x)
-        )
 
-    def test_cross_discordance_matrix(self):
-        rng = np.random.default_rng(2)
-        x, y = _random_perms(rng, 30, 8), _random_perms(rng, 17, 8)
-        np.testing.assert_array_equal(
-            accel.cross_discordance_matrix_nb(x, y),
-            accel.cross_discordance_matrix_np(x, y),
-        )
+def _ref_discordant(a, b):
+    d = len(a)
+    return sum(
+        (a[i] > a[j]) != (b[i] > b[j]) for i in range(d) for j in range(i + 1, d)
+    )
 
-    def test_ts_trace(self):
-        rng = np.random.default_rng(3)
-        for d in (2, 5, 12):
-            W = np.triu(rng.standard_normal((d, d)), 1)
-            perms = _random_perms(rng, 25, d)
-            for p in perms:
-                assert accel.ts_trace_nb(W, p) == pytest.approx(
-                    accel.ts_trace_np(W, p), abs=1e-12
-                )
-            np.testing.assert_allclose(
-                accel.ts_trace_batch_nb(W, perms),
-                accel.ts_trace_batch_np(W, perms),
-                atol=1e-12,
-            )
 
-    def test_qap_cost(self):
-        rng = np.random.default_rng(4)
-        for d in (2, 6, 11):
-            a = rng.standard_normal((d, d))
-            b = rng.standard_normal((d, d))
-            perms = _random_perms(rng, 15, d)
-            for p in perms:
-                assert accel.qap_cost_nb(a, b, p) == pytest.approx(
-                    accel.qap_cost_np(a, b, p), rel=1e-12
-                )
-            np.testing.assert_allclose(
-                accel.qap_cost_batch_nb(a, b, perms),
-                accel.qap_cost_batch_np(a, b, perms),
-                rtol=1e-12,
-            )
+def _ref_trace(w, row):
+    d = len(row)
+    total = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            total += w[i, j] if row[i] > row[j] else -w[i, j]
+    return total
 
-    def test_tsp_length(self):
-        rng = np.random.default_rng(5)
-        coords = rng.uniform(0, 100, size=(12, 2))
-        for _ in range(20):
-            p = rng.permutation(12).astype(np.int64)
-            assert accel.tsp_length_nb(coords, p) == accel.tsp_length_np(coords, p)
+
+# Single-row batches at both ends of the d range, so n = 1 and q = 1 run
+# whatever the draws.
+ONE_ROW = (np.array([[1, 0]], dtype=np.int64),)
+ONE_ROW_16 = (np.arange(16, dtype=np.int64)[None, ::-1].copy(),)
+
+
+@given(perm_batches())
+@example(ONE_ROW)
+@example(ONE_ROW_16)
+@reference
+def test_pair_signs_match_reference(batch):
+    (x,) = batch
+    s = accel.pair_signs(x)
+    assert s.dtype == np.float64
+    np.testing.assert_array_equal(s, np.array([_ref_signs(r) for r in x]))
+
+
+@given(perm_batches(count=2, max_rows=1))
+@reference
+def test_discordant_count_matches_reference(batch):
+    a, b = batch[0][0], batch[1][0]
+    assert accel.discordant_count(a, b) == _ref_discordant(a, b)
+
+
+@given(perm_batches())
+@example(ONE_ROW)
+@example(ONE_ROW_16)
+@reference
+def test_discordance_matrix_matches_reference(batch):
+    (x,) = batch
+    nd = accel.discordance_matrix(x)
+    assert nd.dtype == np.int64
+    want = [[_ref_discordant(a, b) for b in x] for a in x]
+    np.testing.assert_array_equal(nd, np.array(want, dtype=np.int64))
+
+
+@given(perm_batches(count=2))
+@example(ONE_ROW * 2)
+@example(ONE_ROW_16 * 2)
+@reference
+def test_cross_discordance_matrix_matches_reference(batch):
+    x, y = batch
+    nd = accel.cross_discordance_matrix(x, y)
+    assert nd.dtype == np.int64 and nd.shape == (len(x), len(y))
+    want = [[_ref_discordant(a, b) for b in y] for a in x]
+    np.testing.assert_array_equal(nd, np.array(want, dtype=np.int64))
+
+
+@given(perm_batches(), st.integers(0, 2**32 - 1))
+@example(ONE_ROW, 0)
+@example(ONE_ROW_16, 0)
+@reference
+def test_ts_trace_batch_matches_reference(batch, seed):
+    (x,) = batch
+    d = x.shape[1]
+    w = np.triu(np.random.default_rng(seed).standard_normal((d, d)), 1)
+    got = accel.ts_trace_batch(w, x)
+    assert got.shape == (len(x),)
+    for value, row in zip(got, x):
+        assert abs(value - _ref_trace(w, row)) <= 1e-12
+
+
+@given(perm_batches())
+@example(ONE_ROW)
+@example(ONE_ROW_16)
+@reference
+def test_kendall_feature_matrix_is_scaled_pair_signs(batch):
+    # Bit-identical to its definition: the signs over sqrt(C(d,2)).
+    (x,) = batch
+    m = x.shape[1] * (x.shape[1] - 1) // 2
+    want = np.array([_ref_signs(r) for r in x]) / np.sqrt(m)
+    assert np.array_equal(kendall_feature_matrix(x), want)
 
 
 def test_pair_indices_are_cached_read_only_triu_indices():
@@ -94,46 +140,19 @@ def test_swap_deltas_match_full_reevaluation():
     # Each delta is the trace of the swapped permutation minus the trace
     # of the original, for every pair and every row of the batch.
     rng = np.random.default_rng(7)
+
+    def trace(W, perm):
+        return accel.ts_trace_batch(W, perm[None, :])[0]
+
     for d in range(2, 16):
         W = np.triu(rng.standard_normal((d, d)), 1)
         perms = _random_perms(rng, 6, d)
         deltas = accel.ts_swap_deltas(W - W.T, perms)
         assert deltas.shape == (6, d * (d - 1) // 2)
         for r, perm in enumerate(perms):
-            base = accel.ts_trace_np(W, perm)
+            base = trace(W, perm)
             for k, (a, b) in enumerate(zip(*accel.pair_indices(d))):
                 swapped = perm.copy()
                 swapped[a], swapped[b] = perm[b], perm[a]
-                full = accel.ts_trace_np(W, swapped) - base
+                full = trace(W, swapped) - base
                 assert abs(deltas[r, k] - full) <= 1e-12
-
-
-def test_backend_flag_reported():
-    assert accel.BACKEND in ("numba", "numpy")
-    if accel.HAVE_NUMBA:
-        assert accel.BACKEND == "numba"
-
-
-def test_numpy_fallback_selected_by_env(tmp_path):
-    # A fresh interpreter with the flag set must bind the numpy path.
-    # Without numba, BACKEND is "numpy" whether or not the flag is set, so
-    # this tells the two cases apart only where numba is installed.
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # The child must import the permbo under test, whether it came from an
-    # install or from the source tree on PYTHONPATH.
-    here = Path(accel.__file__).resolve()
-    src = str(here.parents[1])
-    env = dict(os.environ, PERMBO_DISABLE_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import permbo.accel as a; print(a.BACKEND); print(a.__file__)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    backend, path = out.stdout.splitlines()
-    assert Path(path).resolve() == here
-    assert backend == "numpy"

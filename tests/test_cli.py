@@ -20,6 +20,16 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def _python_m_permbo(*argv):
+    """``python -m permbo ARGV`` in a fresh interpreter that imports the permbo under test."""
+    src = str(Path(permbo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "permbo", *argv], env=env, capture_output=True, text=True
+    )
+
+
 @pytest.fixture
 def qap_file(tmp_path):
     path = tmp_path / "hand.dat"
@@ -293,19 +303,35 @@ class TestCmdSolveQap:
         assert out == ""
         assert err == "error: objective is inf or nan on every permutation of size 3\n"
 
+    def test_overflowing_cost_gives_one_error_line(self, tmp_path):
+        # Every entry 1e200: the instance loads, and every cost overflows to
+        # inf. Each command must report that in one line, with no numpy
+        # RuntimeWarning on stderr, and exit 1. A fresh interpreter shows
+        # the warnings exactly as a user sees them.
+        qap = tmp_path / "overflow.dat"
+        qap.write_text("3\n" + "1e200 " * 9 + "\n" + "1e200 " * 9)
+        commands = {
+            "solve-qap": ["solve-qap", str(qap)],
+            "solve-qap --exact": ["solve-qap", str(qap), "--exact"],
+            "run": ["run", "--benchmark", f"qaplib:{qap}", "--algo", "bops-t",
+                    "--iters", "2", "--init", "2", "--reps", "1",
+                    "--out", str(tmp_path / "r")],
+        }
+        for name, argv in commands.items():
+            out = _python_m_permbo(*argv)
+            assert out.returncode == 1, (name, out.stdout, out.stderr)
+            assert out.stdout == "", name
+            assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, (
+                name, out.stderr)
+            assert "inf" in out.stderr, (name, out.stderr)
+
     def test_python_dash_m(self, qap_file):
         # The route that works without the install: python -m permbo.
-        src = str(Path(permbo.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        cmd = [sys.executable, "-m", "permbo", "solve-qap"]
-        ok = subprocess.run(cmd + [str(qap_file)], env=env, capture_output=True, text=True)
+        ok = _python_m_permbo("solve-qap", str(qap_file))
         assert ok.returncode == 0, ok.stderr
         perm, value = ok.stdout.split()
         assert float(value) == 6.0
         assert sorted(perm.split(",")) == ["0", "1"]
-        missing = subprocess.run(
-            cmd + [str(qap_file) + ".missing"], env=env, capture_output=True, text=True
-        )
+        missing = _python_m_permbo("solve-qap", str(qap_file) + ".missing")
         assert missing.returncode == 1
         assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1

@@ -9,11 +9,11 @@ from permbo.gp import (
     LENGTHSCALE_GRID,
     NOISE_GRID,
     SIGNAL_GRID,
+    WeightPosterior,
     fit,
     nlml,
     predict,
     predict_batch,
-    prior_weight_posterior,
     sample_gp_prior,
     sample_weights,
     test_nll as predictive_nll,
@@ -378,12 +378,23 @@ class TestTestNll:
             predictive_nll(m, [], [])
 
 
+def _prior_posterior(d, signal_variance):
+    """The no-data weight posterior: zero mean, covariance signal_variance * I."""
+    m = d * (d - 1) // 2
+    return WeightPosterior(d, np.zeros(m), math.sqrt(signal_variance) * np.eye(m))
+
+
 class TestWeightPosterior:
     def test_prior_case(self):
-        wp = prior_weight_posterior(5, signal_variance=2.0)
-        assert wp.mean.shape == (10,)
-        np.testing.assert_allclose(wp.mean, 0.0)
-        np.testing.assert_allclose(wp.cov_factor @ wp.cov_factor.T, 2.0 * np.eye(10))
+        # Weights w ~ N(0, s*I) on the Kendall feature map give the
+        # function-space prior: Cov(phi(a).w, phi(b).w) = s * k(a, b).
+        rng = np.random.default_rng(10)
+        xs = [random_permutation(5, rng) for _ in range(12)]
+        wp = _prior_posterior(5, 2.0)
+        phi = kendall_feature_matrix(np.stack([p.values for p in xs]))
+        cov = phi @ wp.cov_factor @ wp.cov_factor.T @ phi.T
+        K = gram_matrix(KernelSpec("kendall", signal_variance=2.0), xs, jitter=False)
+        np.testing.assert_allclose(cov, K, rtol=0, atol=1e-12)
 
     def test_agrees_with_function_space(self):
         rng = np.random.default_rng(11)
@@ -444,14 +455,14 @@ class TestWeightPosterior:
 
 class TestSampleWeights:
     def test_zero_factor_returns_mean(self):
-        wp = prior_weight_posterior(4, 1.0)
+        wp = _prior_posterior(4, 1.0)
         wp.cov_factor[:] = 0.0
         wp.mean[:] = 7.0
         out = sample_weights(wp, np.random.default_rng(0))
         np.testing.assert_array_equal(out, 7.0 * np.ones(6))
 
     def test_monte_carlo_mean_and_cov(self):
-        wp = prior_weight_posterior(4, 1.0)
+        wp = _prior_posterior(4, 1.0)
         rng = np.random.default_rng(13)
         draws = np.stack([sample_weights(wp, rng) for _ in range(10000)])
         assert np.max(np.abs(draws.mean(axis=0))) < 0.05
@@ -459,7 +470,7 @@ class TestSampleWeights:
         assert np.max(np.abs(emp_cov - np.eye(6))) < 0.1
 
     def test_seed_determinism(self):
-        wp = prior_weight_posterior(5, 1.0)
+        wp = _prior_posterior(5, 1.0)
         a = sample_weights(wp, np.random.default_rng(21))
         b = sample_weights(wp, np.random.default_rng(21))
         np.testing.assert_array_equal(a, b)
