@@ -3,9 +3,9 @@
 Every pair statistic is built from one primitive, ``pair_signs``: the
 +-1 signs of the C(d,2) object pairs, in ``pair_indices`` order. The
 discordant-pair counts behind the Kendall and Mallows kernels and the
-Thompson-sampling trace are products of sign rows. ``ts_swap_deltas``
-is the one exception: its matrix product needs both triangles, so it
-builds the full d x d sign matrix.
+Thompson-sampling trace are products of sign rows. The 2-swap deltas
+are the one exception: their matrix products need both triangles, so
+they use full d x d sign matrices.
 
 Permutations are passed as int64 arrays (value at position i is pi(i));
 batches are (n, d) arrays with one permutation per row.
@@ -91,6 +91,45 @@ def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
     m = g @ s_t
     diag = np.diagonal(m, axis1=1, axis2=2)
     return m[:, iu, ju] + m[:, ju, iu] - diag[:, iu] - diag[:, ju]
+
+
+def sign_stack(x: np.ndarray) -> np.ndarray:
+    """(d, d * n) float64 signs of the n rows of ``x``: [c, a * n + k] = sign(x[k, c] - x[k, a])."""
+    xt = x.T
+    return np.sign(xt[:, None, :] - xt[None, :, :]).astype(np.float64).reshape(x.shape[1], -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # Rows a*d + b, b*d + a, a*d + a and b*d + b of a (d * d, n) stack,
+    # for every pair (a, b) of ``pair_indices(d)``.
+    iu, ju = pair_indices(d)
+    return iu * d + ju, ju * d + iu, iu * (d + 1), ju * (d + 1)
+
+
+def swap_discordances(signs: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """(n, C(d,2)) discordant-pair counts of n rows x against every 2-swap of ``perm``.
+
+    ``signs`` is ``sign_stack(x)``. For each row x, let
+    P[b, a] = sum_c sign(perm(b) - perm(c)) * sign(x(c) - x(a)). Then
+    n_d(perm, x) = C(d,2)/2 + tr(P)/4, and swapping positions a and b of
+    ``perm`` changes it by (P[a, b] + P[b, a] - P[a, a] - P[b, b]) / 2.
+    This is ``ts_swap_deltas`` with weights G[a, c] = sign(x(c) - x(a)),
+    whose TS trace is 2 n_d - C(d,2), and P the transpose of its M. All
+    n matrices P are one (d, d) @ (d, d * n) product, and every
+    intermediate is an exact small integer or half-integer in float64.
+    Column k is the neighbour that swaps the k-th pair of
+    ``pair_indices``; the result is C-contiguous.
+    """
+    d = perm.shape[0]
+    p = (np.sign(perm[:, None] - perm[None, :]).astype(np.float64) @ signs).reshape(d * d, -1)
+    ab, ba, aa, bb = _swap_rows(d)
+    out = p[ab] + p[ba]
+    out -= p[aa]
+    out -= p[bb]
+    out *= 0.5
+    out += 0.25 * p[:: d + 1].sum(axis=0) + 0.5 * (d * (d - 1) // 2)
+    return out.T.astype(np.int64, order="C")
 
 
 def qap_cost(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:

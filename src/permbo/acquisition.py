@@ -1,5 +1,13 @@
 """Acquisition functions: expected improvement and the Thompson-sampling QAP.
 
+Expected improvement is scored either at given rows or, for the bops-h
+local search, at the whole 2-swap neighbourhood of one row at once
+(``swap_neighbour_ei``). The neighbourhood is never built: its
+discordances to the training rows are the current row's plus exact
+integer swap deltas, and the Mallows kernel is read from a table indexed
+by the discordant-pair count. Neighbours that are training points score
+zero.
+
 A weight vector sampled from the Kendall weight posterior induces the
 linear objective w^T phi(pi). Arranging the weights into a strictly
 upper-triangular matrix W turns its minimization into the quadratic
@@ -18,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .accel import pair_indices
-from .gp import GpModel, predict_batch
+from .gp import GpModel, predict_batch, predict_swap_neighbours
 from .perm import Permutation, num_pairs
 
 #: Below this predictive standard deviation EI is defined as zero.
@@ -44,14 +52,31 @@ def expected_improvement_batch(
     m: GpModel, queries, incumbent: float
 ) -> np.ndarray:
     """Vectorized EI over many candidate permutations."""
-    means, variances = predict_batch(m, queries)
+    return _ei(*predict_batch(m, queries), incumbent)
+
+
+def swap_neighbour_ei(m: GpModel, values: np.ndarray, incumbent: float) -> np.ndarray:
+    """EI at all C(d,2) 2-swap neighbours of ``values``, in pair order.
+
+    Neighbours that are training points score zero: re-querying an
+    evaluated point of a deterministic objective improves nothing.
+    Otherwise bit-identical to ``expected_improvement_batch`` on
+    ``swap_neighbor_matrix(values)``.
+    """
+    means, variances, evaluated = predict_swap_neighbours(m, values)
+    ei = _ei(means, variances, incumbent)
+    ei[evaluated] = 0.0
+    return ei
+
+
+def _ei(means: np.ndarray, variances: np.ndarray, incumbent: float) -> np.ndarray:
     s = np.sqrt(variances)
     improve = incumbent - means
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(s > EI_STD_FLOOR, improve / s, 0.0)
+    uncertain = s > EI_STD_FLOOR
+    z = np.divide(improve, s, out=np.zeros_like(s), where=uncertain)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     ei = improve * ndtr(z) + s * pdf
-    ei = np.where(s > EI_STD_FLOOR, ei, 0.0)
+    ei[~uncertain] = 0.0
     return np.maximum(ei, 0.0)
 
 

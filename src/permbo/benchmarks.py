@@ -13,6 +13,7 @@ fixed seed ship with the package for reproducible runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -76,8 +77,8 @@ class SyntheticObjective:
             )
         if w.ndim > 1:
             raise ValueError("weights must be a scalar or a vector")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
 
 
 # --- QAPLIB -----------------------------------------------------------------

@@ -66,7 +66,7 @@ class Benchmark:
     gp_noise_sd: float = 0.1
 
 
-def _parse_options(rest: str) -> dict[str, str]:
+def _parse_options(scheme: str, rest: str, allowed: tuple[str, ...]) -> dict[str, str]:
     opts: dict[str, str] = {}
     for part in rest.split(","):
         if not part:
@@ -74,22 +74,55 @@ def _parse_options(rest: str) -> dict[str, str]:
         key, sep, value = part.partition("=")
         if not sep:
             raise BenchmarkError(f"malformed benchmark option {part!r}")
-        opts[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in allowed:
+            raise BenchmarkError(f"unknown {scheme} option {key!r}")
+        opts[key] = value.strip()
     return opts
 
 
+def _int_option(scheme: str, opts: dict[str, str], key: str, low: int) -> int:
+    if key not in opts:
+        raise BenchmarkError(f"{scheme} benchmark needs {key}=<int>")
+    try:
+        value = int(opts[key])
+    except ValueError:
+        value = None
+    if value is None or value < low:
+        raise BenchmarkError(
+            f"{scheme} option {key} must be an integer >= {low}, got {opts[key]!r}"
+        )
+    return value
+
+
+def _scale_option(scheme: str, opts: dict[str, str], key: str, default: float) -> float:
+    text = opts.get(key)
+    if text is None:
+        return default
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise BenchmarkError(
+            f"{scheme} option {key} must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def parse_benchmark(uri: str, seed: int) -> Benchmark:
-    """Resolve a benchmark URI; the synthetic target is derived from the seed."""
+    """Resolve a benchmark URI; the synthetic target is derived from the seed.
+
+    Malformed, unknown or out-of-range options raise ``BenchmarkError``
+    naming the option.
+    """
     kind, sep, rest = uri.partition(":")
     if not sep:
         raise BenchmarkError(f"benchmark URI needs a scheme, got {uri!r}")
     if kind == "synthetic":
-        opts = _parse_options(rest)
-        try:
-            d = int(opts["d"])
-        except KeyError:
-            raise BenchmarkError("synthetic benchmark needs d=<int>") from None
-        noise = float(opts.get("noise", "0"))
+        opts = _parse_options(kind, rest, ("d", "noise"))
+        d = _int_option(kind, opts, "d", 2)
+        noise = _scale_option(kind, opts, "noise", 0.0)
         target = random_permutation(d, np.random.default_rng(np.random.SeedSequence([seed, 0x7A26])))
         synth = SyntheticObjective(target=target, weights=1.0, noise_sd=noise)
         return Benchmark(uri=uri, kind=kind, d=d, synth=synth)
@@ -101,22 +134,18 @@ def parse_benchmark(uri: str, seed: int) -> Benchmark:
         return Benchmark(uri=uri, kind=kind, d=inst.n, qap=inst)
     if kind == "tsplib":
         path, _, tail = rest.partition(",")
-        opts = _parse_options(tail) if tail else {}
-        subset = int(opts["subset"]) if "subset" in opts else None
+        opts = _parse_options(kind, tail, ("subset",))
+        subset = _int_option(kind, opts, "subset", 3) if "subset" in opts else None
         inst = parse_tsplib(Path(path).read_text(), subset=subset)
         return Benchmark(uri=uri, kind=kind, d=inst.n, tsp=inst)
     if kind == "gpdraw":
-        opts = _parse_options(rest)
-        try:
-            d = int(opts["d"])
-        except KeyError:
-            raise BenchmarkError("gpdraw benchmark needs d=<int>") from None
+        opts = _parse_options(kind, rest, ("d", "l", "noise"))
         return Benchmark(
             uri=uri,
             kind=kind,
-            d=d,
-            gp_lengthscale=float(opts.get("l", "0.1")),
-            gp_noise_sd=float(opts.get("noise", "0.1")),
+            d=_int_option(kind, opts, "d", 2),
+            gp_lengthscale=_scale_option(kind, opts, "l", 0.1),
+            gp_noise_sd=_scale_option(kind, opts, "noise", 0.1),
         )
     raise BenchmarkError(f"unknown benchmark scheme {kind!r}")
 

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .acquisition import build_qap, expected_improvement_batch
-from .gp import fit, sample_weights, weight_posterior
+from .acquisition import build_qap, expected_improvement_batch, swap_neighbour_ei
+from .gp import fit, is_training_point, sample_weights, weight_posterior
 from .kernels import KENDALL, MALLOWS, KernelSpec
 from .optimizers import (
     SearchBudget,
@@ -225,26 +225,25 @@ def run_bops_h(
         t0 = time.perf_counter()
         model = fit(template, run.xs, run.ys)
         incumbent = min(run.ys)
-        seen = run.seen
 
         def masked_ei_batch(rows: np.ndarray) -> np.ndarray:
             # Re-querying an evaluated point of a deterministic objective
-            # yields no improvement, so its acquisition value is zero.
+            # yields no improvement, so its acquisition value is zero. The
+            # model is fitted on every evaluated point, so those are
+            # exactly its training points.
             rows = np.ascontiguousarray(rows, dtype=np.int64)
             ei = expected_improvement_batch(model, rows, incumbent)
-            for k in range(rows.shape[0]):
-                if rows[k].tobytes() in seen:
-                    ei[k] = 0.0
+            ei[is_training_point(model, rows)] = 0.0
             return ei
 
-        def neg_ei_batch(rows: np.ndarray) -> np.ndarray:
-            return -masked_ei_batch(rows)
-
         def neg_ei(p: Permutation) -> float:
-            return float(neg_ei_batch(p.values[None, :])[0])
+            return float(-masked_ei_batch(p.values[None, :])[0])
+
+        def neg_ei_neighbourhood(values: np.ndarray) -> np.ndarray:
+            return -swap_neighbour_ei(model, values, incumbent)
 
         candidates = sorted(
-            multi_restart_candidates(neg_ei, cfg.d, cfg.budget, rng, neg_ei_batch),
+            multi_restart_candidates(neg_ei, cfg.d, cfg.budget, rng, neg_ei_neighbourhood),
             key=lambda r: r[1],
         )
         selected, deflected = run.pick_unevaluated(candidates, rng)

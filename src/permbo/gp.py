@@ -15,10 +15,17 @@ Cholesky-factored for prediction, and the Kendall weight posterior reuses
 that factor (Woodbury), so weight-space and function-space posteriors
 share one factorization. An oracle test checks both NLML routes against
 a dense log-determinant evaluation.
+
+Prediction at the whole 2-swap neighbourhood of one row
+(``predict_swap_neighbours``) gets the discordances from swap deltas
+against the training rows' sign matrices and the kernel values from a
+table indexed by the discordant-pair count, both cached on the model on
+first use; it gives the same bits as ``predict_batch`` on the built rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,6 +33,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from . import accel
 from .kernels import (
@@ -77,6 +85,19 @@ class GpModel:
     @property
     def d(self) -> int:
         return self.train_x[0].d
+
+    @functools.cached_property
+    def sign_stack(self) -> np.ndarray:
+        """``accel.sign_stack`` of the training rows."""
+        return accel.sign_stack(self.x_array)
+
+    @functools.cached_property
+    def kernel_table(self) -> np.ndarray:
+        """signal * k(n_d) at every discordant-pair count n_d = 0..C(d,2)."""
+        d = self.d
+        return self.spec.signal_variance * base_kernel_from_nd(
+            self.spec.family, np.arange(d * (d - 1) // 2 + 1), d, self.spec.lengthscale
+        )
 
 
 @dataclass
@@ -241,8 +262,44 @@ def predict_batch(
     kstar = m.spec.signal_variance * base_kernel_from_nd(
         m.spec.family, nd, m.d, m.spec.lengthscale
     )
+    return _moments(m, kstar, include_noise)
+
+
+def predict_swap_neighbours(
+    m: GpModel, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latent posterior at all C(d,2) 2-swap neighbours of ``values``, in pair order.
+
+    Returns the means, the variances and which neighbours are training
+    points. The moments equal, bit for bit, ``predict_batch`` on
+    ``swap_neighbor_matrix(values)``, without building those rows: the
+    discordances come from swap deltas against the training sign
+    matrices (``accel.swap_discordances``), and the kernel values are
+    read from ``m.kernel_table``. A neighbour is a training point exactly
+    when its discordance to some training row is 0.
+    """
+    nd = accel.swap_discordances(m.sign_stack, values)
+    # A C-ordered kstar, like predict_batch's, so the BLAS and LAPACK
+    # calls take the same path and round the same way.
+    means, variances = _moments(m, m.kernel_table[nd])
+    return means, variances, (nd == 0).any(axis=0)
+
+
+def is_training_point(m: GpModel, queries: np.ndarray) -> np.ndarray:
+    """Which rows of ``queries`` are training points (discordance 0 to one of them)."""
+    return (accel.cross_discordance_matrix(m.x_array, queries) == 0).any(axis=0)
+
+
+def _moments(
+    m: GpModel, kstar: np.ndarray, include_noise: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-unit posterior means and variances from the (n, q) cross-covariances."""
     mean_std = kstar.T @ m.alpha
-    v = solve_triangular(m.chol, kstar, lower=True)
+    # LAPACK trtrs, called as solve_triangular calls it on the fit's
+    # Fortran-ordered factor, without its input checks.
+    v, info = dtrtrs(m.chol, kstar, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
     var_std = m.spec.signal_variance - np.sum(v * v, axis=0)
     var_std = np.maximum(var_std, 0.0)
     if include_noise:

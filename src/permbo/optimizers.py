@@ -2,9 +2,13 @@
 
 The exhaustive search doubles as the correctness oracle for everything
 else. The generic multi-restart 2-swap search optimizes expected
-improvement; the Thompson-sampling QAP takes the same walk through a
-delta-evaluated descent specialised to its trace objective. All search
-is deterministic given the caller's random generator.
+improvement for bops-h; it takes a neighbourhood scorer that values all
+C(d,2) swaps of the current row at once, which bops-h computes from
+swap deltas of the discordances (``acquisition.swap_neighbour_ei``)
+without building the neighbour rows. The Thompson-sampling QAP takes the
+same walk through a delta-evaluated descent specialised to its trace
+objective. All search is deterministic given the caller's random
+generator.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from .acquisition import QapMatrices
 from .perm import Permutation, num_pairs, random_permutation, swap_neighbor_matrix
 
 Objective = Callable[[Permutation], float]
-#: Optional vectorized form: (k, d) int array of candidate rows -> (k,) values.
-BatchObjective = Callable[[np.ndarray], np.ndarray]
+#: Optional neighbourhood scorer: a (d,) int row -> the (C(d,2),) objective
+#: values of its 2-swap neighbours, pairs in ``accel.pair_indices`` order.
+Neighbourhood = Callable[[np.ndarray], np.ndarray]
 
 #: Largest dimension the exhaustive search will accept (9! = 362880 evaluations).
 BRUTE_FORCE_MAX_D = 9
@@ -67,33 +72,32 @@ def local_search(
     objective: Objective,
     start: Permutation,
     max_steps: int,
-    batch_objective: BatchObjective | None = None,
+    neighbourhood: Neighbourhood | None = None,
 ) -> tuple[Permutation, float]:
     """Best-improvement descent over single-transposition neighbors.
 
     Steps until no neighbor strictly improves or ``max_steps`` moves were
-    taken; neighbor pairs are scanned in lexicographic order so the walk
-    is deterministic. When terminated by convergence the result is
-    2-swap-locally optimal. ``batch_objective``, if given, must agree with
-    ``objective`` and is used to evaluate all neighbors of a state at once.
+    taken; neighbor pairs are scanned in lexicographic order and the
+    first best one wins, so the walk is deterministic. When terminated by
+    convergence the result is 2-swap-locally optimal. The start is valued
+    by ``objective``; ``neighbourhood``, if given, must agree with it and
+    values all neighbors of a state at once.
     """
-    current = start.values
-    if batch_objective is not None:
-        current_v = float(batch_objective(current[None, :])[0])
-    else:
-        current_v = float(objective(Permutation._wrap(current)))
+    current = np.array(start.values)
+    current_v = float(objective(start))
+    iu, ju = accel.pair_indices(current.shape[0])
     for _ in range(max_steps):
-        neighbors = swap_neighbor_matrix(current)
-        if batch_objective is not None:
-            values = np.asarray(batch_objective(neighbors), dtype=np.float64)
+        if neighbourhood is not None:
+            values = np.asarray(neighbourhood(current), dtype=np.float64)
         else:
             values = np.array(
-                [objective(Permutation._wrap(row)) for row in neighbors]
+                [objective(Permutation._wrap(row)) for row in swap_neighbor_matrix(current)]
             )
         best = int(np.argmin(values))
         if not values[best] < current_v:
             break
-        current = neighbors[best]
+        a, b = iu[best], ju[best]
+        current[a], current[b] = current[b], current[a]
         current_v = float(values[best])
     return Permutation._wrap(current), current_v
 
@@ -103,14 +107,12 @@ def multi_restart_candidates(
     d: int,
     budget: SearchBudget,
     rng: np.random.Generator,
-    batch_objective: BatchObjective | None = None,
+    neighbourhood: Neighbourhood | None = None,
 ) -> list[tuple[Permutation, float]]:
     """Local-search results from ``budget.restarts`` uniform starts, in restart order."""
     starts = [random_permutation(d, rng) for _ in range(budget.restarts)]
     max_steps = budget.steps_for(d)
-    return [
-        local_search(objective, s, max_steps, batch_objective) for s in starts
-    ]
+    return [local_search(objective, s, max_steps, neighbourhood) for s in starts]
 
 
 def multi_restart_argmin(
@@ -118,10 +120,10 @@ def multi_restart_argmin(
     d: int,
     budget: SearchBudget,
     rng: np.random.Generator,
-    batch_objective: BatchObjective | None = None,
+    neighbourhood: Neighbourhood | None = None,
 ) -> tuple[Permutation, float]:
     """Best local-search result over the restart budget; deterministic given seed."""
-    results = multi_restart_candidates(objective, d, budget, rng, batch_objective)
+    results = multi_restart_candidates(objective, d, budget, rng, neighbourhood)
     best = min(range(len(results)), key=lambda i: results[i][1])
     return results[best]
 

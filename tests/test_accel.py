@@ -123,6 +123,23 @@ def test_kendall_feature_matrix_is_scaled_pair_signs(batch):
     assert np.array_equal(kendall_feature_matrix(x), want)
 
 
+@given(perm_batches(count=2, max_rows=4))
+@example(ONE_ROW * 2)
+@example(ONE_ROW_16 * 2)
+@settings(max_examples=40, deadline=None)  # the reference is O(d^4) per row
+def test_swap_discordances_match_reference(batch):
+    # Column k: every row of x against perm with the k-th pair swapped.
+    x, perm = batch[0], batch[1][0]
+    d = x.shape[1]
+    got = accel.swap_discordances(accel.sign_stack(x), perm)
+    assert got.dtype == np.int64 and got.shape == (len(x), d * (d - 1) // 2)
+    assert got.flags.c_contiguous
+    for k, (a, b) in enumerate(zip(*accel.pair_indices(d))):
+        swapped = perm.copy()
+        swapped[a], swapped[b] = perm[b], perm[a]
+        assert list(got[:, k]) == [_ref_discordant(row, swapped) for row in x]
+
+
 def test_pair_indices_are_cached_read_only_triu_indices():
     for d in range(2, 17):
         iu, ju = accel.pair_indices(d)

@@ -261,8 +261,9 @@ class TestSynthetic:
         target = Permutation([0, 1, 2])
         with pytest.raises(ValueError):
             SyntheticObjective(target=target, weights=np.ones(5))
-        with pytest.raises(ValueError):
-            SyntheticObjective(target=target, noise_sd=-1.0)
+        for noise_sd in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_sd"):
+                SyntheticObjective(target=target, noise_sd=noise_sd)
         with pytest.raises(ValueError):
             synthetic_objective(
                 SyntheticObjective(target=target), Permutation([0, 1, 2, 3])

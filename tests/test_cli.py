@@ -8,10 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import permbo
 from permbo.benchmarks import bundled_instance_text
-from permbo.cli import main, nll_experiment, parse_benchmark, run_experiment, run_one_rep
+from permbo.cli import (
+    BenchmarkError,
+    main,
+    nll_experiment,
+    parse_benchmark,
+    run_experiment,
+    run_one_rep,
+)
 
 
 def read_csv(path):
@@ -76,6 +85,100 @@ class TestBenchmarkUris:
             parse_benchmark("simulated:d=3", seed=0)
         with pytest.raises(BenchmarkError):
             parse_benchmark("no-scheme", seed=0)
+
+
+# Benchmark URIs built from option fragments, valid and not. No generated
+# text holds a digit or a line break: only the bounded integers below can
+# make a d large, and every error message stays on one line.
+_JUNK = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Nd", "Zl", "Zp")), max_size=5)
+_DATA = Path(permbo.__file__).resolve().parent / "data"
+_PATHS = st.sampled_from([str(_DATA / "qap15.dat"), str(_DATA / "pcb10.tsp"), "/no/such/file", ""])
+_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "2.5", "0x10", " 7 ", "-0.0"]),
+    _JUNK,
+)
+_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["d", "noise", "l", "subset", " d ", "D"]) | _JUNK, _VALUES).map(
+            "=".join
+        ),
+        _JUNK,
+    ),
+    max_size=4,
+).map(",".join)
+
+
+@st.composite
+def benchmark_uris(draw):
+    scheme = draw(st.sampled_from(["synthetic", "gpdraw", "qaplib", "tsplib"]) | _JUNK)
+    if scheme in ("qaplib", "tsplib"):
+        rest = draw(_PATHS)
+        options = draw(_OPTIONS)
+        rest += "," + options if options else ""
+    else:
+        rest = draw(_OPTIONS)
+    return f"{scheme}{draw(st.sampled_from([':', ':', '']))}{rest}"
+
+
+@pytest.mark.parametrize("uri, option", [
+    ("synthetic:d=5,noise=nan", "noise"),
+    ("synthetic:d=5,noise=inf", "noise"),
+    ("synthetic:d=5,noise=-0.5", "noise"),
+    ("synthetic:d=abc", "d"),
+    ("synthetic:d=1", "d"),
+    ("synthetic:d=5,nosie=0.1", "'nosie'"),
+    ("gpdraw:d=4,noise=-1", "noise"),
+    ("gpdraw:d=4,noise=nan", "noise"),
+    ("gpdraw:d=4,l=nan", "l"),
+    ("gpdraw:d=2.5", "d"),
+    ("tsplib:x.tsp,subset=abc", "subset"),
+])
+def test_bad_benchmark_option_is_named(uri, option):
+    with pytest.raises(BenchmarkError, match=f"option {option}"):
+        parse_benchmark(uri, seed=0)
+
+
+def test_bad_noise_is_one_usage_error_line_without_warnings():
+    out = _python_m_permbo("nll", "--benchmark", "synthetic:d=5,noise=inf", "--out", "/nonexistent")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: synthetic option noise must be a finite number")
+    assert "Warning" not in out.stderr and out.stdout == ""
+
+
+class TestBenchmarkUriFuzz:
+    @given(benchmark_uris())
+    @settings(max_examples=300, deadline=None)
+    def test_resolves_or_raises_a_usage_error(self, uri):
+        try:
+            bench = parse_benchmark(uri, seed=0)
+        except (BenchmarkError, ValueError, OSError):
+            return
+        assert bench.d >= 2
+        if bench.synth is not None:
+            assert 0.0 <= bench.synth.noise_sd < math.inf
+        assert 0.0 <= bench.gp_lengthscale < math.inf
+        assert 0.0 <= bench.gp_noise_sd < math.inf
+
+    @given(benchmark_uris())
+    @settings(max_examples=6, deadline=None)
+    def test_bad_uri_gives_one_error_line(self, uri):
+        try:
+            parse_benchmark(uri, seed=0)
+        except (BenchmarkError, ValueError, OSError):
+            pass
+        else:
+            assume(False)
+        out = _python_m_permbo(
+            "run", f"--benchmark={uri}", "--algo", "random", "--iters", "1",
+            "--out", "/nonexistent/permbo-out",
+        )
+        assert out.returncode in (1, 2), out.stderr
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert sum(line.startswith("error: ") for line in lines) == 1, out.stderr
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr, out.stderr
 
 
 class TestCmdRun:

@@ -22,6 +22,7 @@ from permbo.perm import (
     identity,
     num_pairs,
     random_permutation,
+    swap_neighbor_matrix,
     swap_neighbors,
 )
 
@@ -145,12 +146,13 @@ class TestLocalSearch:
         iu, ju = np.triu_indices(6, 1)
         wv = q.W[iu, ju]
 
-        def batch(rows):
+        def neighbourhood(values):
+            rows = swap_neighbor_matrix(values)
             return np.sign(rows[:, iu] - rows[:, ju]) @ wv
 
         start = random_permutation(6, rng)
         p1, v1 = local_search(objective, start, max_steps=500)
-        p2, v2 = local_search(objective, start, max_steps=500, batch_objective=batch)
+        p2, v2 = local_search(objective, start, max_steps=500, neighbourhood=neighbourhood)
         assert p1 == p2 and v1 == pytest.approx(v2, abs=1e-12)
 
 
