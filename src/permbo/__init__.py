@@ -18,10 +18,6 @@ from .engine import (
     empirical_regret,
     info_gain,
     run_algorithm,
-    run_bops_h,
-    run_bops_t,
-    run_ga,
-    run_random,
 )
 from .gp import (
     GpModel,
@@ -39,7 +35,6 @@ from .optimizers import (
     brute_force_argmin,
     local_search,
     multi_restart_argmin,
-    solve_ts_qap,
 )
 from .perm import (
     Permutation,
@@ -88,12 +83,7 @@ __all__ = [
     "qap_objective",
     "random_permutation",
     "run_algorithm",
-    "run_bops_h",
-    "run_bops_t",
-    "run_ga",
-    "run_random",
     "sample_weights",
-    "solve_ts_qap",
     "swap_neighbors",
     "synthetic_objective",
     "test_nll",

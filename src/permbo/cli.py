@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``run``: seeded replications of one algorithm on one benchmark, raw and
-  aggregate CSV output plus a JSON config echo.
+  aggregate CSV output plus a JSON config echo. The config echo is written
+  first and each replication's raw rows as it completes, so an interrupted
+  run keeps its finished replications.
 * ``nll``: held-out negative-log-likelihood comparison of the Kendall and
   Mallows surrogates across training sizes.
 * ``solve-qap``: standalone multi-restart (or exact) solve of a QAPLIB file.
@@ -26,6 +28,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -199,6 +202,46 @@ def run_one_rep(
     ]
 
 
+def _pool_map(jobs: int, args: list[tuple]) -> Iterator[list[list]]:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(run_one_rep, *zip(*args))
+
+
+def replications(
+    uri: str,
+    algo: str,
+    n_iters: int,
+    n_init: int,
+    reps: int,
+    restarts: int,
+    seed: int,
+    jobs: int = 1,
+) -> Iterator[list[list]]:
+    """Check the run, then yield each replication's raw rows in replication order."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    bench = parse_benchmark(uri, seed)
+    make_objective(bench, np.random.default_rng(0))  # fail fast on non-runnable URIs
+    args = [
+        (uri, algo, bench.d, n_iters, n_init, restarts, seed, rep) for rep in range(reps)
+    ]
+    return _pool_map(jobs, args) if jobs > 1 else map(run_one_rep, *zip(*args))
+
+
+def aggregate(per_rep: list[list[list]]) -> list[list]:
+    """Mean, standard error and median of best-so-far across replications, per iteration."""
+    best = np.array(
+        [[float(row[5]) for row in rows] for rows in per_rep]
+    )  # (reps, n_records)
+    reps = best.shape[0]
+    agg = []
+    for it in range(best.shape[1]):
+        col = best[:, it]
+        stderr = float(np.std(col, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        agg.append([it, repr(float(np.mean(col))), repr(stderr), repr(float(np.median(col)))])
+    return agg
+
+
 def run_experiment(
     uri: str,
     algo: str,
@@ -210,30 +253,8 @@ def run_experiment(
     jobs: int = 1,
 ) -> tuple[list[list], list[list]]:
     """All replications -> (raw rows, aggregate rows), deterministic given seed."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    bench = parse_benchmark(uri, seed)
-    make_objective(bench, np.random.default_rng(0))  # fail fast on non-runnable URIs
-    args = [
-        (uri, algo, bench.d, n_iters, n_init, restarts, seed, rep) for rep in range(reps)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_rep = list(pool.map(run_one_rep, *zip(*args)))
-    else:
-        per_rep = [run_one_rep(*a) for a in args]
-
-    raw = [row for rows in per_rep for row in rows]
-    n_records = n_init + n_iters
-    best = np.array(
-        [[float(row[5]) for row in rows] for rows in per_rep]
-    )  # (reps, n_records)
-    agg = []
-    for it in range(n_records):
-        col = best[:, it]
-        stderr = float(np.std(col, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-        agg.append([it, repr(float(np.mean(col))), repr(stderr), repr(float(np.median(col)))])
-    return raw, agg
+    per_rep = list(replications(uri, algo, n_iters, n_init, reps, restarts, seed, jobs))
+    return [row for rows in per_rep for row in rows], aggregate(per_rep)
 
 
 # --- nll ------------------------------------------------------------------------
@@ -307,7 +328,7 @@ def _write_config(path: Path, payload: dict) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    raw, agg = run_experiment(
+    per_rep = replications(
         args.benchmark,
         args.algo,
         args.iters,
@@ -319,8 +340,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "raw.csv", RAW_HEADER, raw)
-    _write_csv(out / "aggregate.csv", AGG_HEADER, agg)
     _write_config(
         out / "config.json",
         {
@@ -335,17 +354,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             "jobs": args.jobs,
         },
     )
-    print(f"wrote {out / 'raw.csv'} ({len(raw)} rows) and {out / 'aggregate.csv'}")
+    done: list[list[list]] = []
+    with open(out / "raw.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RAW_HEADER)
+        try:
+            for rows in per_rep:
+                writer.writerows(rows)
+                fh.flush()
+                done.append(rows)
+        except KeyboardInterrupt:
+            kept = (
+                f"replications 0 to {len(done) - 1} of {args.reps} are in {out / 'raw.csv'}"
+                if done
+                else f"no replication of {args.reps} finished"
+            )
+            raise KeyboardInterrupt(f"interrupted: {kept}") from None
+    _write_csv(out / "aggregate.csv", AGG_HEADER, aggregate(done))
+    n_rows = sum(len(rows) for rows in done)
+    print(f"wrote {out / 'raw.csv'} ({n_rows} rows) and {out / 'aggregate.csv'}")
     return 0
 
 
 def cmd_nll(args: argparse.Namespace) -> int:
-    train_sizes = [int(tok) for tok in args.train_sizes.split(",") if tok]
-    if not train_sizes:
-        raise BenchmarkError("need at least one training size")
     rows = nll_experiment(
         args.benchmark,
-        train_sizes,
+        args.train_sizes,
         args.reps,
         args.seed,
         n_test_sets=args.test_sets,
@@ -359,7 +393,7 @@ def cmd_nll(args: argparse.Namespace) -> int:
         {
             "command": "nll",
             "benchmark": args.benchmark,
-            "train_sizes": train_sizes,
+            "train_sizes": args.train_sizes,
             "reps": args.reps,
             "test_sets": args.test_sets,
             "test_size": args.test_size,
@@ -402,6 +436,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _counts(text: str) -> list[int]:
+    """argparse type for a comma-separated list of counts, each at least 1."""
+    values = [_count(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one value")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permbo", description="Bayesian optimization over permutation spaces"
@@ -411,28 +453,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run seeded replications of one algorithm")
     p_run.add_argument("--benchmark", required=True, help="synthetic:d=N[,noise=S] | qaplib:PATH | tsplib:PATH[,subset=K]")
     p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
-    p_run.add_argument("--iters", type=int, required=True)
-    p_run.add_argument("--init", type=int, default=20)
+    p_run.add_argument("--iters", type=_count, required=True)
+    p_run.add_argument("--init", type=_count, default=20)
     p_run.add_argument("--reps", type=_count, default=20)
-    p_run.add_argument("--restarts", type=int, default=10)
+    p_run.add_argument("--restarts", type=_count, default=10)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=_count, default=1)
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
 
     p_nll = sub.add_parser("nll", help="surrogate NLL comparison on held-out sets")
     p_nll.add_argument("--benchmark", required=True)
-    p_nll.add_argument("--train-sizes", default="20,40,60")
+    p_nll.add_argument("--train-sizes", type=_counts, default="20,40,60")
     p_nll.add_argument("--reps", type=_count, default=10)
-    p_nll.add_argument("--test-sets", type=int, default=10)
-    p_nll.add_argument("--test-size", type=int, default=50)
+    p_nll.add_argument("--test-sets", type=_count, default=10)
+    p_nll.add_argument("--test-size", type=_count, default=50)
     p_nll.add_argument("--seed", type=int, default=0)
     p_nll.add_argument("--out", required=True)
     p_nll.set_defaults(func=cmd_nll)
 
     p_solve = sub.add_parser("solve-qap", help="solve one QAPLIB instance")
     p_solve.add_argument("path")
-    p_solve.add_argument("--restarts", type=int, default=10)
+    p_solve.add_argument("--restarts", type=_count, default=10)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--exact", action="store_true")
     p_solve.set_defaults(func=cmd_solve_qap)
@@ -451,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print(exc.args[0] if exc.args else "interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
-"""BO loop orchestration for both algorithm variants plus baselines.
+"""One run loop for all four algorithms, plus regret and information-gain diagnostics.
 
-Each run draws ``n_init`` uniform permutations, then selects one
-permutation per iteration:
+``run_algorithm`` draws ``n_init`` uniform permutations, then asks the
+algorithm's proposal generator for one permutation per iteration:
 
 * ``bops-t``: Kendall GP, Thompson sampling via the QAP solve;
 * ``bops-h``: Mallows GP, expected improvement via multi-restart local search;
 * ``random``: uniform sampling;
 * ``ga``: steady-state genetic algorithm with permutation operators.
 
-Every objective evaluation lands in the trace; a run consumes exactly
-n_init + n_iters evaluations and is fully reproducible from its seed.
+A generator reads the evaluated points from ``_Run.xs``/``_Run.ys``,
+which every evaluation appends to. Every evaluation lands in the trace;
+a run consumes exactly n_init + n_iters evaluations and is fully
+reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,8 +41,9 @@ RANDOM = "random"
 GA = "ga"
 ALGORITHMS = (BOPS_T, BOPS_H, RANDOM, GA)
 
-#: Random candidates scored when the acquisition audit is enabled.
-AUDIT_CANDIDATES = 100
+#: GA population size, and children evaluated between population merges.
+GA_POPULATION = 20
+GA_OFFSPRING = 10
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,6 @@ class BoConfig:
     n_init: int = 20
     budget: SearchBudget = SearchBudget(restarts=10)
     seed: int = 0
-    ga_population: int = 20
-    ga_offspring: int = 10
-    qap_backend: str = "multistart"
-    audit: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -63,8 +62,6 @@ class BoConfig:
             raise ValueError("d must be >= 2")
         if self.n_init < 1 or self.n_iters < 1:
             raise ValueError("n_init and n_iters must be >= 1")
-        if self.ga_population < 2 or self.ga_offspring < 1:
-            raise ValueError("ga_population must be >= 2 and ga_offspring >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,7 @@ class TraceRecord:
 @dataclass
 class BoTrace:
     config: BoConfig
-    seed: int
     records: list[TraceRecord] = field(default_factory=list)
-    diagnostics: list[dict] = field(default_factory=list)
 
     @property
     def best_value(self) -> float:
@@ -108,7 +103,7 @@ class BoTrace:
 
 
 class _Run:
-    """Mutable state shared by all runners: data, best-so-far, dedupe set."""
+    """Mutable state of one run: data, best-so-far, dedupe set, trace."""
 
     def __init__(self, cfg: BoConfig, objective: Objective):
         self.cfg = cfg
@@ -117,9 +112,9 @@ class _Run:
         self.ys: list[float] = []
         self.best = math.inf
         self.seen: set[bytes] = set()
-        self.trace = BoTrace(config=cfg, seed=cfg.seed)
+        self.trace = BoTrace(config=cfg)
 
-    def evaluate(self, p: Permutation, phase: str, started: float) -> float:
+    def evaluate(self, p: Permutation, phase: str, started: float) -> None:
         index = len(self.trace.records)
         try:
             y = float(self.objective(p))
@@ -147,137 +142,70 @@ class _Run:
                 seconds=time.perf_counter() - started,
             )
         )
-        return y
-
-    def init_phase(self, rng: np.random.Generator) -> None:
-        for _ in range(self.cfg.n_init):
-            t0 = time.perf_counter()
-            self.evaluate(random_permutation(self.cfg.d, rng), "init", t0)
 
     def pick_unevaluated(
         self,
         candidates: Sequence[tuple[Permutation, float]],
         rng: np.random.Generator,
-    ) -> tuple[Permutation, bool]:
+    ) -> Permutation:
         """Best candidate not yet evaluated; uniform unevaluated draw as last resort."""
-        best = candidates[0][0]
-        if best.values.tobytes() not in self.seen:
-            return best, False
-        for p, _ in candidates[1:]:
+        for p, _ in candidates:
             if p.values.tobytes() not in self.seen:
-                return p, True
+                return p
         if len(self.seen) >= math.factorial(self.cfg.d):
-            return best, True  # whole space evaluated; re-querying is all that remains
+            return candidates[0][0]  # whole space evaluated; re-querying is all that remains
         while True:
             p = random_permutation(self.cfg.d, rng)
             if p.values.tobytes() not in self.seen:
-                return p, True
+                return p
 
 
-def _audit_rng(cfg: BoConfig, iteration: int) -> np.random.Generator:
-    # Separate stream so enabling the audit cannot perturb the run itself.
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD1A6, iteration]))
+# Proposal generators: (run, rng) -> one permutation per BO iteration. The
+# acquisition layers are called through this module's globals at call time,
+# so rebinding e.g. ``engine.fit`` reaches every run.
 
 
-def run_bops_t(
-    cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
-) -> BoTrace:
+def _propose_bops_t(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Thompson sampling with the Kendall weight-space posterior and a QAP solve."""
-    if cfg.algorithm != BOPS_T:
-        raise ValueError(f"config is for {cfg.algorithm!r}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    run = _Run(cfg, objective)
-    run.init_phase(rng)
     template = KernelSpec(KENDALL)
-    for it in range(cfg.n_iters):
-        t0 = time.perf_counter()
+    while True:
         model = fit(template, run.xs, run.ys)
-        wp = weight_posterior(model)
-        w = sample_weights(wp, rng)
-        q = build_qap(w, cfg.d)
-        candidates = solve_ts_qap_candidates(q, cfg.budget, rng, cfg.qap_backend)
-        selected, deflected = run.pick_unevaluated(candidates, rng)
-        if cfg.audit:
-            run.trace.diagnostics.append(
-                {
-                    "iteration": it,
-                    "weights": w,
-                    "argmin": candidates[0][0],
-                    "selected": selected,
-                    "deflected": deflected,
-                }
-            )
-        run.evaluate(selected, "bo", t0)
-    return run.trace
+        w = sample_weights(weight_posterior(model), rng)
+        q = build_qap(w, run.cfg.d)
+        yield run.pick_unevaluated(solve_ts_qap_candidates(q, run.cfg.budget, rng), rng)
 
 
-def run_bops_h(
-    cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
-) -> BoTrace:
+def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Expected improvement under a Mallows GP, optimized by restarted local search."""
-    if cfg.algorithm != BOPS_H:
-        raise ValueError(f"config is for {cfg.algorithm!r}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    run = _Run(cfg, objective)
-    run.init_phase(rng)
     template = KernelSpec(MALLOWS)
-    for it in range(cfg.n_iters):
-        t0 = time.perf_counter()
+    while True:
         model = fit(template, run.xs, run.ys)
         incumbent = min(run.ys)
 
-        def masked_ei_batch(rows: np.ndarray) -> np.ndarray:
+        def neg_ei(p: Permutation) -> float:
             # Re-querying an evaluated point of a deterministic objective
             # yields no improvement, so its acquisition value is zero. The
             # model is fitted on every evaluated point, so those are
             # exactly its training points.
-            rows = np.ascontiguousarray(rows, dtype=np.int64)
+            rows = np.ascontiguousarray(p.values[None, :], dtype=np.int64)
             ei = expected_improvement_batch(model, rows, incumbent)
             ei[is_training_point(model, rows)] = 0.0
-            return ei
-
-        def neg_ei(p: Permutation) -> float:
-            return float(-masked_ei_batch(p.values[None, :])[0])
+            return float(-ei[0])
 
         def neg_ei_neighbourhood(values: np.ndarray) -> np.ndarray:
             return -swap_neighbour_ei(model, values, incumbent)
 
         candidates = sorted(
-            multi_restart_candidates(neg_ei, cfg.d, cfg.budget, rng, neg_ei_neighbourhood),
+            multi_restart_candidates(neg_ei, run.cfg.d, run.cfg.budget, rng, neg_ei_neighbourhood),
             key=lambda r: r[1],
         )
-        selected, deflected = run.pick_unevaluated(candidates, rng)
-        if cfg.audit:
-            arng = _audit_rng(cfg, it)
-            pool = np.stack(
-                [random_permutation(cfg.d, arng).values for _ in range(AUDIT_CANDIDATES)]
-            )
-            run.trace.diagnostics.append(
-                {
-                    "iteration": it,
-                    "ei_argmin": -candidates[0][1],
-                    "ei_selected": float(masked_ei_batch(selected.values[None, :])[0]),
-                    "ei_random_max": float(np.max(masked_ei_batch(pool))),
-                    "deflected": deflected,
-                }
-            )
-        run.evaluate(selected, "bo", t0)
-    return run.trace
+        yield run.pick_unevaluated(candidates, rng)
 
 
-def run_random(
-    cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
-) -> BoTrace:
+def _propose_random(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Uniform random search baseline."""
-    if cfg.algorithm != RANDOM:
-        raise ValueError(f"config is for {cfg.algorithm!r}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    run = _Run(cfg, objective)
-    run.init_phase(rng)
-    for _ in range(cfg.n_iters):
-        t0 = time.perf_counter()
-        run.evaluate(random_permutation(cfg.d, rng), "bo", t0)
-    return run.trace
+    while True:
+        yield random_permutation(run.cfg.d, rng)
 
 
 def _tournament(
@@ -312,45 +240,47 @@ def swap_mutation(p: Permutation, rng: np.random.Generator) -> Permutation:
     return Permutation._wrap(vals)
 
 
-def run_ga(
-    cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
-) -> BoTrace:
+def _propose_ga(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Steady-state GA: binary tournament, order crossover, swap mutation (prob 1/d)."""
-    if cfg.algorithm != GA:
-        raise ValueError(f"config is for {cfg.algorithm!r}")
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-    run = _Run(cfg, objective)
-    run.init_phase(rng)
-    population = list(zip(run.xs, run.ys))
-    population.sort(key=lambda pv: pv[1])
-    population = population[: cfg.ga_population]
-    evals_left = cfg.n_iters
-    while evals_left > 0:
-        batch = min(cfg.ga_offspring, evals_left)
-        offspring = []
-        for _ in range(batch):
-            t0 = time.perf_counter()
+    population = sorted(zip(run.xs, run.ys), key=lambda pv: pv[1])[:GA_POPULATION]
+    while True:
+        for _ in range(GA_OFFSPRING):
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
             child = order_crossover(p1, p2, rng)
-            if rng.random() < 1.0 / cfg.d:
+            if rng.random() < 1.0 / run.cfg.d:
                 child = swap_mutation(child, rng)
-            y = run.evaluate(child, "bo", t0)
-            offspring.append((child, y))
-        pool = population + offspring
-        pool.sort(key=lambda pv: pv[1])
-        population = pool[: cfg.ga_population]
-        evals_left -= batch
-    return run.trace
+            yield child
+        offspring = zip(run.xs[-GA_OFFSPRING:], run.ys[-GA_OFFSPRING:])
+        population = sorted([*population, *offspring], key=lambda pv: pv[1])[:GA_POPULATION]
 
 
-_RUNNERS = {BOPS_T: run_bops_t, BOPS_H: run_bops_h, RANDOM: run_random, GA: run_ga}
+_PROPOSERS = {
+    BOPS_T: _propose_bops_t,
+    BOPS_H: _propose_bops_h,
+    RANDOM: _propose_random,
+    GA: _propose_ga,
+}
 
 
 def run_algorithm(
     cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
 ) -> BoTrace:
-    return _RUNNERS[cfg.algorithm](cfg, objective, rng)
+    """Run ``cfg.algorithm``: ``n_init`` uniform draws, then ``n_iters`` proposals.
+
+    Each record's ``seconds`` runs from just before the point was chosen
+    to the return of its evaluation.
+    """
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    run = _Run(cfg, objective)
+    for _ in range(cfg.n_init):
+        t0 = time.perf_counter()
+        run.evaluate(random_permutation(cfg.d, rng), "init", t0)
+    proposals = _PROPOSERS[cfg.algorithm](run, rng)
+    for _ in range(cfg.n_iters):
+        t0 = time.perf_counter()
+        run.evaluate(next(proposals), "bo", t0)
+    return run.trace
 
 
 # --- diagnostics ---------------------------------------------------------------

@@ -130,9 +130,9 @@ def multi_restart_argmin(
 
 # --- QAP solve used by Thompson sampling -----------------------------------
 #
-# Two backends share one contract: minimize Tr(W P A P^T) over permutation
-# matrices. "exhaustive" is the oracle; "multistart", the default, runs the
-# delta-evaluated 2-swap descent below from every restart at once.
+# Minimize Tr(W P A P^T) over permutation matrices by the delta-evaluated
+# 2-swap descent below, run from every restart at once. The exhaustive
+# solve is the oracle the tests hold it to.
 
 
 def ts_swap_descent(
@@ -170,32 +170,11 @@ def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
 
 
 def solve_ts_qap_candidates(
-    q: QapMatrices,
-    budget: SearchBudget,
-    rng: np.random.Generator,
-    backend: str = "multistart",
+    q: QapMatrices, budget: SearchBudget, rng: np.random.Generator
 ) -> list[tuple[Permutation, float]]:
     """Minimize the Thompson-sampling trace objective; every restart's result, best first."""
-    if backend == "exhaustive":
-        return [solve_qap_exhaustive(q)]
-    if backend == "multistart":
-        d = q.W.shape[0]
-        starts = np.stack(
-            [random_permutation(d, rng).values for _ in range(budget.restarts)]
-        )
-        finals, values = ts_swap_descent(
-            np.ascontiguousarray(q.W), starts, budget.steps_for(d)
-        )
-        results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
-        return sorted(results, key=lambda r: r[1])
-    raise ValueError(f"unknown QAP backend {backend!r}")
-
-
-def solve_ts_qap(
-    q: QapMatrices,
-    budget: SearchBudget,
-    rng: np.random.Generator,
-    backend: str = "multistart",
-) -> Permutation:
-    """The best permutation ``solve_ts_qap_candidates`` finds."""
-    return solve_ts_qap_candidates(q, budget, rng, backend)[0][0]
+    d = q.W.shape[0]
+    starts = np.stack([random_permutation(d, rng).values for _ in range(budget.restarts)])
+    finals, values = ts_swap_descent(np.ascontiguousarray(q.W), starts, budget.steps_for(d))
+    results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
+    return sorted(results, key=lambda r: r[1])

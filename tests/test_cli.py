@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import permbo
+from permbo import cli
 from permbo.benchmarks import bundled_instance_text
 from permbo.cli import (
     BenchmarkError,
@@ -246,6 +247,59 @@ class TestCmdRun:
         assert "--reps: must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("--iters", "0"), ("--init", "0"), ("--restarts", "0"), ("--jobs", "0"), ("--jobs", "-3"),
+    ])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--benchmark", "synthetic:d=4", "--algo", "random", "--iters", "1",
+                f"{option}={value}", "--out", str(tmp_path / "r"),
+            ])
+        assert exc.value.code == 2
+        assert f"{option}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_interrupt_keeps_finished_replications(self, tmp_path, monkeypatch, capsys):
+        # 4 + 4 evaluations per replication: the 11th is inside replication 1.
+        calls = 0
+        objective = cli.synthetic_objective
+
+        def interrupting(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 11:
+                raise KeyboardInterrupt
+            return objective(*args)
+
+        monkeypatch.setattr(cli, "synthetic_objective", interrupting)
+        out = tmp_path / "res"
+        rc = main([
+            "run", "--benchmark", "synthetic:d=4", "--algo", "bops-t", "--iters", "4",
+            "--init", "4", "--reps", "3", "--jobs", "1", "--out", str(out),
+        ])
+        assert rc == 130
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"interrupted: replications 0 to 0 of 3 are in {out / 'raw.csv'}"]
+        assert json.loads((out / "config.json").read_text())["reps"] == 3
+        header, rows = read_csv(out / "raw.csv")
+        assert header[0] == "rep" and len(rows) == 8
+        assert {row[0] for row in rows} == {"0"}
+        assert not (out / "aggregate.csv").exists()
+
+    def test_unusable_out_fails_before_any_evaluation(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "synthetic_objective", lambda *args: calls.append(args) or 0.0)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main([
+            "run", "--benchmark", "synthetic:d=4", "--algo", "random", "--iters", "3",
+            "--out", str(blocker / "res"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+
     def test_run_experiment_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
             run_experiment("synthetic:d=4", "random", 1, 2, 0, 10, 0)
@@ -354,7 +408,38 @@ class TestCmdNll:
         assert kernels == {"kendall", "mallows"}
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("option, value, message", [
+        ("--test-sets", "0", "must be >= 1, got 0"),
+        ("--test-size", "0", "must be >= 1, got 0"),
+        ("--test-size", "-2", "must be >= 1, got -2"),
+        ("--train-sizes", "abc", "invalid int value: 'abc'"),
+        ("--train-sizes", "20,x", "invalid int value: 'x'"),
+        ("--train-sizes", "0", "must be >= 1, got 0"),
+        ("--train-sizes", "-3", "must be >= 1, got -3"),
+        ("--train-sizes", ",", "need at least one value"),
+    ])
+    def test_bad_count_is_one_usage_error(self, tmp_path, capsys, option, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "nll", "--benchmark", "synthetic:d=4", f"{option}={value}",
+                "--out", str(tmp_path / "r"),
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [
+            f"permbo nll: error: argument {option}: {message}"
+        ]
+        assert not (tmp_path / "r").exists()
+
+
 class TestCmdSolveQap:
+    def test_zero_restarts_is_a_usage_error(self, qap_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-qap", str(qap_file), "--restarts", "0"])
+        assert exc.value.code == 2
+        assert "--restarts: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_hand_instance_value(self, qap_file, capsys):
         rc = main(["solve-qap", str(qap_file), "--seed", "0"])
         assert rc == 0

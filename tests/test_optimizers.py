@@ -12,7 +12,6 @@ from permbo.optimizers import (
     multi_restart_argmin,
     multi_restart_candidates,
     solve_qap_exhaustive,
-    solve_ts_qap,
     solve_ts_qap_candidates,
     ts_swap_descent,
 )
@@ -205,6 +204,10 @@ class TestMultiRestart:
         assert best[1] == min(v for _, v in cands)
 
 
+def solve_ts_qap(q, budget, rng):
+    return solve_ts_qap_candidates(q, budget, rng)[0][0]
+
+
 class TestSolveTsQap:
     def test_d2_picks_the_better_of_both(self):
         for c in (1.0, -1.0):
@@ -243,18 +246,12 @@ class TestSolveTsQap:
         assert p1 == p2
         assert v2 == pytest.approx(3.5 * v1, rel=1e-12)
 
-    def test_unknown_backend_rejected(self):
-        q = build_qap(np.zeros(3), 3)
-        with pytest.raises(ValueError):
-            solve_ts_qap(q, SearchBudget(), np.random.default_rng(0), backend="bogus")
-
     def test_best_of_candidates(self):
         q = build_qap(np.random.default_rng(17).standard_normal(num_pairs(9)), 9)
         budget = SearchBudget(restarts=6)
         cands = solve_ts_qap_candidates(q, budget, np.random.default_rng(4))
         assert len(cands) == 6
         assert [v for _, v in cands] == sorted(v for _, v in cands)
-        assert solve_ts_qap(q, budget, np.random.default_rng(4)) == cands[0][0]
 
 
 class TestTsSwapDescent:
