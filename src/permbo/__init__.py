@@ -1,6 +1,6 @@
 """Bayesian optimization of expensive black-box functions over permutation spaces."""
 
-from .acquisition import QapMatrices, build_qap, expected_improvement
+from .acquisition import QapMatrices, build_qap
 from .benchmarks import (
     QapInstance,
     SyntheticObjective,
@@ -15,7 +15,6 @@ from .engine import (
     ALGORITHMS,
     BoConfig,
     BoTrace,
-    empirical_regret,
     info_gain,
     run_algorithm,
 )
@@ -30,17 +29,11 @@ from .gp import (
     weight_posterior,
 )
 from .kernels import KernelSpec, gram_matrix, kendall_kernel, mallows_kernel
-from .optimizers import (
-    SearchBudget,
-    brute_force_argmin,
-    local_search,
-    multi_restart_argmin,
-)
+from .optimizers import brute_force_argmin, local_search
 from .perm import (
     Permutation,
     compose,
     discordant_pairs,
-    inverse,
     kendall_feature_map,
     random_permutation,
     swap_neighbors,
@@ -57,7 +50,6 @@ __all__ = [
     "Permutation",
     "QapInstance",
     "QapMatrices",
-    "SearchBudget",
     "SyntheticObjective",
     "TspInstance",
     "WeightPosterior",
@@ -65,17 +57,13 @@ __all__ = [
     "build_qap",
     "compose",
     "discordant_pairs",
-    "empirical_regret",
-    "expected_improvement",
     "fit",
     "gram_matrix",
     "info_gain",
-    "inverse",
     "kendall_feature_map",
     "kendall_kernel",
     "local_search",
     "mallows_kernel",
-    "multi_restart_argmin",
     "nlml",
     "parse_qaplib",
     "parse_tsplib",

@@ -77,6 +77,24 @@ def ts_trace_batch(w_upper: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return pair_signs(perms) @ w_upper[iu, ju]
 
 
+@functools.lru_cache(maxsize=None)
+def _swap_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # Rows a*d + b, b*d + a, a*d + a and b*d + b of a (d * d, n) stack,
+    # for every pair (a, b) of ``pair_indices(d)``.
+    iu, ju = pair_indices(d)
+    return iu * d + ju, ju * d + iu, iu * (d + 1), ju * (d + 1)
+
+
+def _swap_deltas(stack: np.ndarray, d: int) -> np.ndarray:
+    """M[a, b] + M[b, a] - M[a, a] - M[b, b] for each pair (a, b) of ``pair_indices(d)``,
+    one row per pair, for each column of ``stack``: a row-major d x d matrix M."""
+    ab, ba, aa, bb = _swap_rows(d)
+    out = stack[ab] + stack[ba]
+    out -= stack[aa]
+    out -= stack[bb]
+    return out
+
+
 def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Change of the TS trace under every 2-swap of every row of ``perms``.
 
@@ -86,25 +104,16 @@ def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
     product scores all C(d,2) neighbours. ``g`` is G, ``perms`` an (R, d)
     batch; the result is (R, C(d,2)), pairs in ``pair_indices`` order.
     """
-    iu, ju = pair_indices(perms.shape[1])
+    r, d = perms.shape
     s_t = np.sign(perms[:, None, :] - perms[:, :, None]).astype(np.float64)
     m = g @ s_t
-    diag = np.diagonal(m, axis1=1, axis2=2)
-    return m[:, iu, ju] + m[:, ju, iu] - diag[:, iu] - diag[:, ju]
+    return _swap_deltas(m.reshape(r, d * d).T, d).T
 
 
 def sign_stack(x: np.ndarray) -> np.ndarray:
     """(d, d * n) float64 signs of the n rows of ``x``: [c, a * n + k] = sign(x[k, c] - x[k, a])."""
     xt = x.T
     return np.sign(xt[:, None, :] - xt[None, :, :]).astype(np.float64).reshape(x.shape[1], -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _swap_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Rows a*d + b, b*d + a, a*d + a and b*d + b of a (d * d, n) stack,
-    # for every pair (a, b) of ``pair_indices(d)``.
-    iu, ju = pair_indices(d)
-    return iu * d + ju, ju * d + iu, iu * (d + 1), ju * (d + 1)
 
 
 def swap_discordances(signs: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -123,10 +132,7 @@ def swap_discordances(signs: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """
     d = perm.shape[0]
     p = (np.sign(perm[:, None] - perm[None, :]).astype(np.float64) @ signs).reshape(d * d, -1)
-    ab, ba, aa, bb = _swap_rows(d)
-    out = p[ab] + p[ba]
-    out -= p[aa]
-    out -= p[bb]
+    out = _swap_deltas(p, d)
     out *= 0.5
     out += 0.25 * p[:: d + 1].sum(axis=0) + 0.5 * (d * (d - 1) // 2)
     return out.T.astype(np.int64, order="C")
@@ -139,7 +145,8 @@ def qap_cost(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:
 
 
 def tsp_length(coords: np.ndarray, perm: np.ndarray) -> float:
-    # TSPLIB EUC_2D: each edge rounded to nearest integer before summing.
+    # TSPLIB EUC_2D: edges rounded to integers, then summed; overflow gives inf, not a warning.
     tour = coords[perm]
-    diff = tour - np.roll(tour, -1, axis=0)
-    return float(np.sum(np.floor(np.hypot(diff[:, 0], diff[:, 1]) + 0.5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = tour - np.roll(tour, -1, axis=0)
+        return float(np.sum(np.floor(np.hypot(diff[:, 0], diff[:, 1]) + 0.5)))

@@ -27,7 +27,7 @@ from scipy.special import ndtr
 
 from .accel import pair_indices
 from .gp import GpModel, predict_batch, predict_swap_neighbours
-from .perm import Permutation, num_pairs
+from .perm import num_pairs
 
 #: Below this predictive standard deviation EI is defined as zero.
 EI_STD_FLOOR = 1e-12
@@ -43,15 +43,13 @@ class QapMatrices:
     A: np.ndarray
 
 
-def expected_improvement(m: GpModel, p: Permutation, incumbent: float) -> float:
-    """Closed-form EI below the incumbent (minimization); always >= 0."""
-    return float(expected_improvement_batch(m, p.values[None, :], incumbent)[0])
-
-
 def expected_improvement_batch(
     m: GpModel, queries, incumbent: float
 ) -> np.ndarray:
-    """Vectorized EI over many candidate permutations."""
+    """Closed-form EI, E[max(incumbent - f, 0)], at each row of the (n, d) ``queries``.
+
+    Always >= 0; zero where the predictive standard deviation is below ``EI_STD_FLOOR``.
+    """
     return _ei(*predict_batch(m, queries), incumbent)
 
 
@@ -92,9 +90,10 @@ def _sign_matrix(d: int) -> np.ndarray:
 def build_qap(w: np.ndarray, d: int) -> QapMatrices:
     """Arrange a C(d,2) weight vector into the QAP matrices (W, A).
 
-    W[i, j] = w[pair_index(i, j)] for i < j, zero elsewhere; the induced
-    objective Tr(W P A P^T) is sqrt(C(d,2)) times w^T phi(pi). A depends
-    on d alone; one read-only copy per d is shared by every call.
+    W[i, j] = w[k] for pair k = (i, j) of ``accel.pair_indices``, zero
+    elsewhere; the induced objective Tr(W P A P^T) is sqrt(C(d,2)) times
+    w^T phi(pi). A depends on d alone; one read-only copy per d is shared
+    by every call.
     """
     w = np.asarray(w, dtype=np.float64)
     m = num_pairs(d)

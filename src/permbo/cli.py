@@ -24,8 +24,9 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -45,7 +46,7 @@ from .benchmarks import (
 from .engine import ALGORITHMS, BoConfig, run_algorithm
 from .gp import fit, sample_gp_prior, test_nll
 from .kernels import KENDALL, MALLOWS, KernelSpec
-from .optimizers import BRUTE_FORCE_MAX_D, SearchBudget, brute_force_argmin, multi_restart_argmin
+from .optimizers import BRUTE_FORCE_MAX_D, brute_force_argmin, multi_restart_candidates
 from .perm import Permutation, random_permutation
 
 RAW_HEADER = ["rep", "phase", "iter", "permutation", "value", "best_so_far", "seconds"]
@@ -192,7 +193,7 @@ def run_one_rep(
         d=bench.d,
         n_iters=n_iters,
         n_init=n_init,
-        budget=SearchBudget(restarts=restarts),
+        restarts=restarts,
         seed=seed,
     )
     trace = run_algorithm(cfg, make_objective(bench, obj_rng), algo_rng)
@@ -202,9 +203,15 @@ def run_one_rep(
     ]
 
 
+def _run_rep_args(args: tuple) -> list[list]:
+    return run_one_rep(*args)
+
+
 def _pool_map(jobs: int, args: list[tuple]) -> Iterator[list[list]]:
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(run_one_rep, *zip(*args))
+    # Workers ignore SIGINT, so Ctrl-C interrupts only this process; leaving
+    # the block terminates the workers instead of waiting for queued reps.
+    with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+        yield from pool.imap(_run_rep_args, args)
 
 
 def replications(
@@ -416,8 +423,8 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
         best, value = brute_force_argmin(objective, inst.n)
     else:
         rng = np.random.default_rng(args.seed)
-        best, value = multi_restart_argmin(
-            objective, inst.n, SearchBudget(restarts=args.restarts), rng
+        best, value = min(
+            multi_restart_candidates(objective, inst.n, args.restarts, rng), key=lambda r: r[1]
         )
     if not math.isfinite(value):
         raise ValueError(f"objective returned {value!r} for permutation {best.serialize()}")

@@ -26,11 +26,7 @@ import numpy as np
 from .acquisition import build_qap, expected_improvement_batch, swap_neighbour_ei
 from .gp import fit, is_training_point, sample_weights, weight_posterior
 from .kernels import KENDALL, MALLOWS, KernelSpec
-from .optimizers import (
-    SearchBudget,
-    multi_restart_candidates,
-    solve_ts_qap_candidates,
-)
+from .optimizers import multi_restart_candidates, solve_ts_qap_candidates
 from .perm import Permutation, random_permutation
 
 Objective = Callable[[Permutation], float]
@@ -52,7 +48,7 @@ class BoConfig:
     d: int
     n_iters: int
     n_init: int = 20
-    budget: SearchBudget = SearchBudget(restarts=10)
+    restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +56,8 @@ class BoConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        if self.n_init < 1 or self.n_iters < 1:
-            raise ValueError("n_init and n_iters must be >= 1")
+        if min(self.n_init, self.n_iters, self.restarts) < 1:
+            raise ValueError("n_init, n_iters and restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,11 +78,6 @@ class BoTrace:
     @property
     def best_value(self) -> float:
         return self.records[-1].best
-
-    @property
-    def best_perm(self) -> Permutation:
-        best = min(self.records, key=lambda r: r.value)
-        return best.perm
 
     def values(self, phase: str | None = None) -> np.ndarray:
         return np.array(
@@ -172,7 +163,7 @@ def _propose_bops_t(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
         model = fit(template, run.xs, run.ys)
         w = sample_weights(weight_posterior(model), rng)
         q = build_qap(w, run.cfg.d)
-        yield run.pick_unevaluated(solve_ts_qap_candidates(q, run.cfg.budget, rng), rng)
+        yield run.pick_unevaluated(solve_ts_qap_candidates(q, run.cfg.restarts, rng), rng)
 
 
 def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
@@ -196,7 +187,7 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
             return -swap_neighbour_ei(model, values, incumbent)
 
         candidates = sorted(
-            multi_restart_candidates(neg_ei, run.cfg.d, run.cfg.budget, rng, neg_ei_neighbourhood),
+            multi_restart_candidates(neg_ei, run.cfg.d, run.cfg.restarts, rng, neg_ei_neighbourhood),
             key=lambda r: r[1],
         )
         yield run.pick_unevaluated(candidates, rng)
@@ -305,7 +296,3 @@ def regret_curve(trace: BoTrace, f_star: float) -> np.ndarray:
     the other convention).
     """
     return np.cumsum(trace.values() - f_star)
-
-
-def empirical_regret(trace: BoTrace, f_star: float) -> float:
-    return float(regret_curve(trace, f_star)[-1])

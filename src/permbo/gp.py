@@ -181,15 +181,13 @@ def fit(
     *,
     optimize: bool = True,
     standardize: bool = True,
-    signal_grid: Sequence[float] | None = None,
-    noise_grid: Sequence[float] | None = None,
-    lengthscale_grid: Sequence[float] | None = None,
 ) -> GpModel:
     """Fit a GP to (xs, ys) with the kernel family of ``spec_template``.
 
     With ``optimize`` (the default), signal variance, noise variance and
     (Mallows only) lengthscale are chosen by minimizing the negative log
-    marginal likelihood over fixed grids; the search is deterministic.
+    marginal likelihood over ``LENGTHSCALE_GRID``, ``SIGNAL_GRID`` and
+    ``NOISE_GRID``, read at call time; the search is deterministic.
     With ``optimize=False`` the template's hyperparameters are used as-is.
     """
     xs = list(xs)
@@ -203,16 +201,11 @@ def fit(
     nd = accel.discordance_matrix(x_array)
 
     if optimize:
-        signals = np.asarray(SIGNAL_GRID if signal_grid is None else signal_grid, dtype=np.float64)
-        noises = np.asarray(NOISE_GRID if noise_grid is None else noise_grid, dtype=np.float64)
-        if spec_template.family == MALLOWS:
-            lengthscales = (
-                tuple(lengthscale_grid)
-                if lengthscale_grid is not None
-                else LENGTHSCALE_GRID
-            )
-        else:
-            lengthscales = (spec_template.lengthscale,)
+        signals = np.asarray(SIGNAL_GRID, dtype=np.float64)
+        noises = np.asarray(NOISE_GRID, dtype=np.float64)
+        lengthscales = (
+            LENGTHSCALE_GRID if spec_template.family == MALLOWS else (spec_template.lengthscale,)
+        )
         best_val, best = math.inf, None
         for ell in lengthscales:
             lam, Q = _eigh(base_kernel_from_nd(spec_template.family, nd, d, ell))

@@ -109,16 +109,3 @@ def gram_matrix(
         K[np.diag_indices_from(K)] += GRAM_JITTER * spec.signal_variance
     return K
 
-
-def cross_gram_matrix(
-    spec: KernelSpec, points: Sequence[Permutation], queries: Sequence[Permutation]
-) -> np.ndarray:
-    """(len(points), len(queries)) matrix of signal_variance * k(pi_i, q_j); no jitter."""
-    x = stack_values(points)
-    q = stack_values(queries)
-    if x.shape[1] != q.shape[1]:
-        raise ValueError(f"dimension mismatch: {x.shape[1]} vs {q.shape[1]}")
-    nd = accel.cross_discordance_matrix(x, q)
-    return spec.signal_variance * base_kernel_from_nd(
-        spec.family, nd, x.shape[1], spec.lengthscale
-    )

@@ -1,21 +1,21 @@
 """Optimizers over S_d: exhaustive oracle, 2-swap local search, multi-restart.
 
 The exhaustive search doubles as the correctness oracle for everything
-else. The generic multi-restart 2-swap search optimizes expected
-improvement for bops-h; it takes a neighbourhood scorer that values all
-C(d,2) swaps of the current row at once, which bops-h computes from
-swap deltas of the discordances (``acquisition.swap_neighbour_ei``)
-without building the neighbour rows. The Thompson-sampling QAP takes the
-same walk through a delta-evaluated descent specialised to its trace
-objective. All search is deterministic given the caller's random
-generator.
+else. The generic 2-swap search, restarted from ``restarts`` uniform
+starts, optimizes expected improvement for bops-h; it takes a
+neighbourhood scorer that values all C(d,2) swaps of the current row at
+once, which bops-h computes from swap deltas of the discordances
+(``acquisition.swap_neighbour_ei``) without building the neighbour rows.
+The Thompson-sampling QAP takes the same walk through a delta-evaluated
+descent specialised to its trace objective. Every restart stops after
+``max_steps(d)`` moves at most. All search is deterministic given the
+caller's random generator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,21 +33,9 @@ Neighbourhood = Callable[[np.ndarray], np.ndarray]
 BRUTE_FORCE_MAX_D = 9
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    restarts: int = 10
-    max_steps_per_restart: int = 0  # 0 means the default cap of 10 * C(d,2)
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_steps_per_restart < 0:
-            raise ValueError("max_steps_per_restart must be >= 0")
-
-    def steps_for(self, d: int) -> int:
-        if self.max_steps_per_restart > 0:
-            return self.max_steps_per_restart
-        return 10 * num_pairs(d)
+def max_steps(d: int) -> int:
+    """Moves one 2-swap descent may take on S_d: 10 * C(d,2)."""
+    return 10 * num_pairs(d)
 
 
 def brute_force_argmin(
@@ -105,27 +93,17 @@ def local_search(
 def multi_restart_candidates(
     objective: Objective,
     d: int,
-    budget: SearchBudget,
+    restarts: int,
     rng: np.random.Generator,
     neighbourhood: Neighbourhood | None = None,
 ) -> list[tuple[Permutation, float]]:
-    """Local-search results from ``budget.restarts`` uniform starts, in restart order."""
-    starts = [random_permutation(d, rng) for _ in range(budget.restarts)]
-    max_steps = budget.steps_for(d)
-    return [local_search(objective, s, max_steps, neighbourhood) for s in starts]
+    """Local-search results from ``restarts`` uniform starts, in restart order."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    starts = [random_permutation(d, rng) for _ in range(restarts)]
+    steps = max_steps(d)
+    return [local_search(objective, s, steps, neighbourhood) for s in starts]
 
-
-def multi_restart_argmin(
-    objective: Objective,
-    d: int,
-    budget: SearchBudget,
-    rng: np.random.Generator,
-    neighbourhood: Neighbourhood | None = None,
-) -> tuple[Permutation, float]:
-    """Best local-search result over the restart budget; deterministic given seed."""
-    results = multi_restart_candidates(objective, d, budget, rng, neighbourhood)
-    best = min(range(len(results)), key=lambda i: results[i][1])
-    return results[best]
 
 
 # --- QAP solve used by Thompson sampling -----------------------------------
@@ -170,11 +148,13 @@ def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
 
 
 def solve_ts_qap_candidates(
-    q: QapMatrices, budget: SearchBudget, rng: np.random.Generator
+    q: QapMatrices, restarts: int, rng: np.random.Generator
 ) -> list[tuple[Permutation, float]]:
     """Minimize the Thompson-sampling trace objective; every restart's result, best first."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     d = q.W.shape[0]
-    starts = np.stack([random_permutation(d, rng).values for _ in range(budget.restarts)])
-    finals, values = ts_swap_descent(np.ascontiguousarray(q.W), starts, budget.steps_for(d))
+    starts = np.stack([random_permutation(d, rng).values for _ in range(restarts)])
+    finals, values = ts_swap_descent(np.ascontiguousarray(q.W), starts, max_steps(d))
     results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
     return sorted(results, key=lambda r: r[1])

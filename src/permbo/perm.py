@@ -96,16 +96,6 @@ def num_pairs(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def pair_index(i: int, j: int, d: int) -> int:
-    """Linear index of the ordered pair (i, j), i < j, in row-major upper-triangle order.
-
-    Matches np.triu_indices(d, 1) ordering: i*(2d-i-1)/2 + (j-i-1).
-    """
-    if not 0 <= i < j < d:
-        raise ValueError(f"need 0 <= i < j < d, got ({i}, {j}) with d={d}")
-    return i * (2 * d - i - 1) // 2 + (j - i - 1)
-
-
 def random_permutation(d: int, rng: np.random.Generator) -> Permutation:
     """Uniform draw from S_d (Fisher-Yates shuffle); deterministic given the generator state."""
     if d < 2:
@@ -126,10 +116,6 @@ def discordant_pairs(a: Permutation, b: Permutation) -> int:
     """
     _check_same_d(a, b)
     return accel.discordant_count(a.values, b.values)
-
-
-def concordant_pairs(a: Permutation, b: Permutation) -> int:
-    return num_pairs(a.d) - discordant_pairs(a, b)
 
 
 def kendall_feature_map(p: Permutation) -> np.ndarray:
@@ -166,12 +152,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """(a o b)(x) = a(b(x))."""
     _check_same_d(a, b)
     return Permutation._wrap(a.values[b.values])
-
-
-def inverse(a: Permutation) -> Permutation:
-    inv = np.empty(a.d, dtype=np.int64)
-    inv[a.values] = np.arange(a.d, dtype=np.int64)
-    return Permutation._wrap(inv)
 
 
 def permutation_matrix(p: Permutation) -> np.ndarray:

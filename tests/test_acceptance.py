@@ -29,7 +29,7 @@ from permbo.cli import main, nll_experiment
 from permbo.engine import BoConfig, info_gain, regret_curve, run_algorithm
 from permbo.gp import fit, predict, weight_posterior
 from permbo.kernels import KernelSpec, gram_matrix, kendall_kernel
-from permbo.optimizers import SearchBudget, local_search
+from permbo.optimizers import local_search
 from permbo.perm import (
     Permutation,
     kendall_feature_map,
@@ -151,7 +151,7 @@ def test_criterion_07_figure1_ordering():
         for seed in range(n_seeds):
             cfg = BoConfig(
                 algorithm=algo, d=d, n_iters=n_iters, n_init=n_init,
-                budget=SearchBudget(restarts=10), seed=seed,
+                restarts=10, seed=seed,
             )
             finals.append(run_algorithm(cfg, objective).best_value)
         medians[algo] = float(np.median(finals))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import permbo.acquisition as acq
-from permbo.acquisition import build_qap, expected_improvement, expected_improvement_batch
+from permbo.acquisition import build_qap, expected_improvement_batch
 from permbo.gp import fit
 from permbo.kernels import KernelSpec
 from permbo.perm import (
@@ -18,6 +18,9 @@ from permbo.perm import (
 # Frozen standard-normal values: pdf(0), and cdf(1) + pdf(1).
 PDF_0 = 0.3989422804014327
 EI_ONE_SIGMA = 1.0833154705876864
+
+#: One query row, the identity on five objects.
+ROW = np.arange(5)[None, :]
 
 
 def _stub_predict(mean, var):
@@ -39,33 +42,30 @@ def any_model():
 class TestExpectedImprovement:
     def test_zero_uncertainty_gives_zero(self, any_model, monkeypatch):
         monkeypatch.setattr(acq, "predict_batch", _stub_predict(0.0, 0.0))
-        p = Permutation([0, 1, 2, 3, 4])
-        assert expected_improvement(any_model, p, incumbent=1.0) == 0.0
+        assert expected_improvement_batch(any_model, ROW, incumbent=1.0)[0] == 0.0
 
     def test_at_incumbent_equals_pdf(self, any_model, monkeypatch):
         monkeypatch.setattr(acq, "predict_batch", _stub_predict(2.0, 1.0))
-        p = Permutation([0, 1, 2, 3, 4])
-        got = expected_improvement(any_model, p, incumbent=2.0)
+        got = expected_improvement_batch(any_model, ROW, incumbent=2.0)[0]
         assert got == pytest.approx(PDF_0, abs=1e-9)
 
     def test_one_sigma_improvement(self, any_model, monkeypatch):
         monkeypatch.setattr(acq, "predict_batch", _stub_predict(1.0, 1.0))
-        p = Permutation([0, 1, 2, 3, 4])
-        got = expected_improvement(any_model, p, incumbent=2.0)
+        got = expected_improvement_batch(any_model, ROW, incumbent=2.0)[0]
         assert got == pytest.approx(EI_ONE_SIGMA, abs=1e-9)
 
     def test_monotone_in_mean(self, any_model, monkeypatch):
         values = []
         for mu in (2.0, 1.0, 0.0, -1.0):
             monkeypatch.setattr(acq, "predict_batch", _stub_predict(mu, 1.0))
-            values.append(expected_improvement(any_model, Permutation([0, 1, 2, 3, 4]), 1.5))
+            values.append(expected_improvement_batch(any_model, ROW, 1.5)[0])
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_monotone_in_std_below_incumbent(self, any_model, monkeypatch):
         values = []
         for s in (0.5, 1.0, 2.0, 4.0):
             monkeypatch.setattr(acq, "predict_batch", _stub_predict(1.0, s**2))
-            values.append(expected_improvement(any_model, Permutation([0, 1, 2, 3, 4]), 0.5))
+            values.append(expected_improvement_batch(any_model, ROW, 0.5)[0])
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_nonnegative_on_real_model(self, any_model):

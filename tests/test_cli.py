@@ -1,14 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import permbo
@@ -30,13 +36,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def _python_m_permbo(*argv):
-    """``python -m permbo ARGV`` in a fresh interpreter that imports the permbo under test."""
+def _permbo_env():
+    """The environment for a fresh interpreter that imports the permbo under test."""
     src = str(Path(permbo.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python_m_permbo(*argv):
+    """``python -m permbo ARGV`` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "permbo", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "permbo", *argv], env=_permbo_env(), capture_output=True, text=True
     )
 
 
@@ -371,6 +382,38 @@ class TestCmdRun:
         assert [r[:6] for r in raw1] == [r[:6] for r in raw2]
         assert agg1 == agg2
 
+    def test_ctrl_c_with_jobs_does_not_wait_for_queued_replications(self, tmp_path):
+        # Ctrl-C reaches the whole process group. The workers must ignore it
+        # and be terminated with the pool, not finish the replications
+        # already queued to them (one takes several seconds here).
+        out = tmp_path / "res"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "permbo", "run", "--benchmark", "synthetic:d=8",
+             "--algo", "bops-h", "--iters", "150", "--reps", "4", "--jobs", "2",
+             "--out", str(out)],
+            env=_permbo_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (out / "config.json").exists():
+                assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+                time.sleep(0.05)
+            time.sleep(1.0)
+            os.killpg(proc.pid, signal.SIGINT)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=30.0)
+            waited = time.monotonic() - sent
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert len(err.splitlines()) == 1 and err.startswith("interrupted: "), err
+        assert waited < 2.0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     def test_headers_always_first_line(self, tmp_path):
         out = tmp_path / "res"
         main([
@@ -431,6 +474,61 @@ class TestCmdNll:
             f"permbo nll: error: argument {option}: {message}"
         ]
         assert not (tmp_path / "r").exists()
+
+
+_SOUP_NUMBERS = st.integers(-2, 12).map(str) | st.sampled_from(
+    ["0", "1", "3", "2.5", "1e200", "-1e308", "inf", "nan"]
+)
+_SOUP_WORDS = st.sampled_from(["x", ":", "DIMENSION:", "EDGE_WEIGHT_TYPE:", "EUC_2D", "NODE_COORD_SECTION"])
+
+
+@st.composite
+def instance_soup(draw):
+    """A QAPLIB or TSPLIB file with n <= 4 and soup values, then up to three
+    lines inserted, replaced or deleted. Small n keeps ``--exact`` cheap."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        lines = [str(n)] + [
+            " ".join(draw(st.lists(_SOUP_NUMBERS, min_size=n, max_size=n))) for _ in range(2 * n)
+        ]
+    else:
+        lines = [f"DIMENSION: {n}", "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
+        lines += [f"{i + 1} {draw(_SOUP_NUMBERS)} {draw(_SOUP_NUMBERS)}" for i in range(n)] + ["EOF"]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        junk = " ".join(draw(st.lists(_SOUP_NUMBERS | _SOUP_WORDS, max_size=4)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        lines[at:at + (edit != "insert")] = [] if edit == "delete" else [junk]
+    return "\n".join(lines)
+
+
+@given(instance_soup())
+@example("DIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 -1e308\n2 0 1e308\n3 0 0")
+@settings(max_examples=300, deadline=None)
+def test_instance_file_fuzz_ends_in_an_exit_code(text):
+    # Every instance file, however malformed, must end in exit 0, 1 or 2,
+    # with no exception escaping main, at most one error line and no
+    # warning. The example's tour length overflows to inf.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        path.write_text(text)
+        commands = (
+            ["solve-qap", str(path)],
+            ["solve-qap", str(path), "--exact"],
+            ["run", "--benchmark", f"tsplib:{path}", "--algo", "random", "--iters", "1",
+             "--init", "1", "--reps", "1", "--out", str(Path(tmp) / "out")],
+        )
+        for argv in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+                io.StringIO()
+            ), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main(argv)
+            assert rc in (0, 1, 2), (argv, text)
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert len(errors) == (rc != 0), (argv, text, err.getvalue())
+            assert not caught, (argv, text, [str(w.message) for w in caught])
 
 
 class TestCmdSolveQap:

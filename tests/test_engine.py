@@ -1,17 +1,18 @@
+import importlib
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from permbo import engine
+from permbo import cli, engine, optimizers
 from permbo.benchmarks import SyntheticObjective, synthetic_objective
 from permbo.engine import (
     ALGORITHMS,
     BoConfig,
     BoTrace,
     TraceRecord,
-    empirical_regret,
     info_gain,
     order_crossover,
     regret_curve,
@@ -110,6 +111,8 @@ class TestTraceContracts:
             BoConfig(algorithm="random", d=1, n_iters=1)
         with pytest.raises(ValueError):
             BoConfig(algorithm="random", d=4, n_iters=0)
+        with pytest.raises(ValueError):
+            BoConfig(algorithm="bops-h", d=4, n_iters=1, restarts=0)
 
 
 #: Engine names the benchmark tracer (``perfbench/tracing.py``) rebinds to
@@ -141,6 +144,48 @@ def test_layers_are_called_through_engine_globals(monkeypatch):
     assert all(calls.values()), calls
 
 
+#: Names outside the engine that the benchmark (``perfbench/``) rebinds or
+#: calls, by module; a trim that drops one breaks ``perfbench --trace 1``.
+BENCHMARK_NAMES = {
+    "accel": ("discordance_matrix", "cross_discordance_matrix", "ts_trace_batch", "BACKEND"),
+    "acquisition": ("predict_batch",),
+    "cli": ("qap_objective", "synthetic_objective", "parse_benchmark", "make_objective", "run_one_rep"),
+    "gp": ("base_kernel_from_nd",),
+    "optimizers": ("local_search", "swap_neighbor_matrix"),
+    "perm": ("random_permutation",),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in BENCHMARK_NAMES.items() for n in names]
+)
+def test_benchmark_names_exist(module, name):
+    assert hasattr(importlib.import_module(f"permbo.{module}"), name)
+
+
+def test_benchmark_call_signatures():
+    # The tracer reads the step cap as local_search's third positional
+    # argument, and the benchmark child calls run_one_rep positionally.
+    assert list(inspect.signature(optimizers.local_search).parameters)[2] == "max_steps"
+    assert list(inspect.signature(cli.run_one_rep).parameters) == [
+        "uri", "algo", "d_check", "n_iters", "n_init", "restarts", "seed", "rep",
+    ]
+
+
+def test_restarts_reach_local_search_through_its_module_global(monkeypatch):
+    caps = []
+    search = optimizers.local_search
+
+    def counting(objective, start, max_steps, neighbourhood=None):
+        caps.append(max_steps)
+        return search(objective, start, max_steps, neighbourhood)
+
+    monkeypatch.setattr(optimizers, "local_search", counting)
+    _, objective = hidden_optimum_objective(4)
+    run_algorithm(BoConfig(algorithm="bops-h", d=4, n_iters=2, n_init=3, restarts=3), objective)
+    assert caps == [optimizers.max_steps(4)] * 6
+
+
 class TestBopsT:
     def test_exhaustive_backend_selects_exact_argmin(self, monkeypatch):
         # Oracle in the loop: with the exhaustive QAP solve in place of the
@@ -155,7 +200,7 @@ class TestBopsT:
             weights.append(sample(wp, rng))
             return weights[-1]
 
-        def exhaustive(q, budget, rng):
+        def exhaustive(q, restarts, rng):
             argmins.append(solve_qap_exhaustive(q)[0])
             return [(argmins[-1], 0.0)]
 
@@ -202,8 +247,8 @@ class TestBopsH:
         checks = []
         search = engine.multi_restart_candidates
 
-        def audited(objective, d, budget, rng, neighbourhood=None):
-            candidates = search(objective, d, budget, rng, neighbourhood)
+        def audited(objective, d, restarts, rng, neighbourhood=None):
+            candidates = search(objective, d, restarts, rng, neighbourhood)
             pool = [random_permutation(d, pool_rng) for _ in range(100)]
             best_ei = -min(v for _, v in candidates)
             checks.append((best_ei, max(-objective(p) for p in pool)))
@@ -328,11 +373,11 @@ class TestRegret:
 
     def test_constant_objective_zero_regret(self):
         trace = _trace_from_values([2.5] * 5)
-        assert empirical_regret(trace, f_star=2.5) == 0.0
+        assert regret_curve(trace, f_star=2.5)[-1] == 0.0
 
     def test_counts_every_evaluation(self):
         trace = _trace_from_values([9.0, 9.0, 1.0, 1.0], n_init=2)
-        assert empirical_regret(trace, f_star=0.0) == 20.0
+        assert regret_curve(trace, f_star=0.0)[-1] == 20.0
         np.testing.assert_array_equal(
             regret_curve(trace, f_star=0.0), [9.0, 18.0, 19.0, 20.0]
         )
@@ -341,7 +386,7 @@ class TestRegret:
         _, objective = hidden_optimum_objective(5, seed=17)
         cfg = BoConfig(algorithm="random", d=5, n_iters=20, n_init=5, seed=14)
         trace = run_algorithm(cfg, objective)
-        assert empirical_regret(trace, f_star=0.0) >= 0.0
+        assert regret_curve(trace, f_star=0.0)[-1] >= 0.0
 
 
 class TestInfoGainAlongRuns:

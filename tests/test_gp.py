@@ -130,20 +130,20 @@ class TestFit:
             got = m.chol @ m.chol.T
             assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
 
-    def test_true_hyperparameters_never_hurt(self):
+    def test_true_hyperparameters_never_hurt(self, monkeypatch):
         rng = np.random.default_rng(3)
         xs = [random_permutation(7, rng) for _ in range(25)]
         true = KernelSpec("mallows", lengthscale=0.3, signal_variance=1.0, noise_variance=1e-2)
         ys = sample_gp_prior(true, xs, rng) + 0.1 * rng.standard_normal(25)
-        without = fit(
-            KernelSpec("mallows"), xs, ys,
-            signal_grid=(0.5, 2.0), noise_grid=(1e-3, 1e-1), lengthscale_grid=(0.1, 1.0),
-        )
-        with_true = fit(
-            KernelSpec("mallows"), xs, ys,
-            signal_grid=(0.5, 1.0, 2.0), noise_grid=(1e-3, 1e-2, 1e-1),
-            lengthscale_grid=(0.1, 0.3, 1.0),
-        )
+
+        def fit_on_grids(signals, noises, lengthscales):
+            monkeypatch.setattr(gp, "SIGNAL_GRID", signals)
+            monkeypatch.setattr(gp, "NOISE_GRID", noises)
+            monkeypatch.setattr(gp, "LENGTHSCALE_GRID", lengthscales)
+            return fit(KernelSpec("mallows"), xs, ys)
+
+        without = fit_on_grids((0.5, 2.0), (1e-3, 1e-1), (0.1, 1.0))
+        with_true = fit_on_grids((0.5, 1.0, 2.0), (1e-3, 1e-2, 1e-1), (0.1, 0.3, 1.0))
         assert nlml(with_true) <= nlml(without) + 1e-9
 
     def test_rejects_empty_or_mismatched(self):
@@ -309,14 +309,15 @@ class TestNlmlTable:
             assert table[i, j] == _scalar_nlml(lam, u, s, nv)
         assert np.isinf(table).any() and np.isfinite(table).any()
 
-    def test_tie_across_lengthscales_goes_to_the_first(self):
+    def test_tie_across_lengthscales_goes_to_the_first(self, monkeypatch):
         # With every pair discordant somewhere, exp(-l * n_d) underflows to 0
         # off the diagonal for l >= 800: both lengthscales give the identity
         # kernel and equal NLML tables.
         xs = [Permutation(t) for t in itertools.islice(itertools.permutations(range(6)), 12)]
         ys = np.arange(12.0) % 5
         for grid in ((800.0, 1000.0), (1000.0, 800.0)):
-            m = fit(KernelSpec("mallows"), xs, ys, lengthscale_grid=grid)
+            monkeypatch.setattr(gp, "LENGTHSCALE_GRID", grid)
+            m = fit(KernelSpec("mallows"), xs, ys)
             assert m.spec.lengthscale == grid[0]
 
     def test_tie_goes_to_first_entry_in_grid_order(self, monkeypatch):
@@ -331,7 +332,8 @@ class TestNlmlTable:
         monkeypatch.setattr(gp, "_nlml_table", lambda *args: next(served))
         rng = np.random.default_rng(31)
         xs, ys = _dataset(rng, 6, 10)
-        m = fit(KernelSpec("mallows"), xs, ys, lengthscale_grid=(0.1, 0.2, 0.3))
+        monkeypatch.setattr(gp, "LENGTHSCALE_GRID", (0.1, 0.2, 0.3))
+        m = fit(KernelSpec("mallows"), xs, ys)
         assert m.spec == KernelSpec("mallows", 0.2, SIGNAL_GRID[1], NOISE_GRID[2])
 
 

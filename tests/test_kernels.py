@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from permbo.accel import cross_discordance_matrix
 from permbo.kernels import (
     GRAM_JITTER,
     KernelSpec,
-    cross_gram_matrix,
+    base_kernel_from_nd,
     gram_matrix,
     kendall_kernel,
     mallows_kernel,
@@ -156,8 +157,10 @@ class TestGramMatrix:
         rng = np.random.default_rng(9)
         pts = [random_permutation(6, rng) for _ in range(8)]
         qs = [random_permutation(6, rng) for _ in range(5)]
-        spec = KernelSpec("mallows", lengthscale=0.7, signal_variance=1.5)
-        C = cross_gram_matrix(spec, pts, qs)
+        nd = cross_discordance_matrix(
+            np.stack([p.values for p in pts]), np.stack([q.values for q in qs])
+        )
+        C = 1.5 * base_kernel_from_nd("mallows", nd, 6, 0.7)
         for i, p in enumerate(pts):
             for j, q in enumerate(qs):
                 assert C[i, j] == pytest.approx(

@@ -6,10 +6,9 @@ import pytest
 
 from permbo.acquisition import build_qap
 from permbo.optimizers import (
-    SearchBudget,
     brute_force_argmin,
     local_search,
-    multi_restart_argmin,
+    max_steps,
     multi_restart_candidates,
     solve_qap_exhaustive,
     solve_ts_qap_candidates,
@@ -42,17 +41,22 @@ def random_qap_objective(d, rng):
     return objective, q
 
 
-class TestSearchBudget:
-    def test_defaults(self):
-        b = SearchBudget()
-        assert b.restarts == 10
-        assert b.steps_for(6) == 10 * 15
+def best_of_restarts(objective, d, restarts, rng):
+    return min(multi_restart_candidates(objective, d, restarts, rng), key=lambda r: r[1])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(restarts=0)
-        with pytest.raises(ValueError):
-            SearchBudget(max_steps_per_restart=-1)
+
+class TestSearchLimits:
+    def test_step_cap(self):
+        assert max_steps(6) == 10 * 15
+        assert max_steps(2) == 10
+
+    def test_restart_count_validation(self):
+        objective, q = random_qap_objective(4, np.random.default_rng(0))
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                multi_restart_candidates(objective, 4, restarts, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                solve_ts_qap_candidates(q, restarts, np.random.default_rng(0))
 
 
 class TestBruteForce:
@@ -160,10 +164,9 @@ class TestMultiRestart:
         rng_a = np.random.default_rng(8)
         rng_b = np.random.default_rng(8)
         objective, _ = random_qap_objective(6, np.random.default_rng(99))
-        budget = SearchBudget(restarts=1)
-        p1, v1 = multi_restart_argmin(objective, 6, budget, rng_a)
+        p1, v1 = best_of_restarts(objective, 6, 1, rng_a)
         start = random_permutation(6, rng_b)
-        p2, v2 = local_search(objective, start, budget.steps_for(6))
+        p2, v2 = local_search(objective, start, max_steps(6))
         assert p1 == p2 and v1 == v2
 
     def test_matches_brute_force_often(self):
@@ -172,47 +175,40 @@ class TestMultiRestart:
             rng = np.random.default_rng(1000 + trial)
             objective, _ = random_qap_objective(5, rng)
             _, v_star = brute_force_argmin(objective, 5)
-            _, v = multi_restart_argmin(
-                objective, 5, SearchBudget(restarts=20), np.random.default_rng(trial)
-            )
+            _, v = best_of_restarts(objective, 5, 20, np.random.default_rng(trial))
             hits += abs(v - v_star) < 1e-10
         assert hits >= 18
 
     def test_more_restarts_never_worse_on_shared_prefix(self):
         objective, _ = random_qap_objective(7, np.random.default_rng(11))
-        v5 = multi_restart_argmin(
-            objective, 7, SearchBudget(restarts=5), np.random.default_rng(123)
-        )[1]
-        v20 = multi_restart_argmin(
-            objective, 7, SearchBudget(restarts=20), np.random.default_rng(123)
-        )[1]
+        v5 = best_of_restarts(objective, 7, 5, np.random.default_rng(123))[1]
+        v20 = best_of_restarts(objective, 7, 20, np.random.default_rng(123))[1]
         assert v20 <= v5
 
     def test_seed_determinism(self):
         objective, _ = random_qap_objective(6, np.random.default_rng(12))
-        budget = SearchBudget(restarts=4)
-        r1 = multi_restart_argmin(objective, 6, budget, np.random.default_rng(5))
-        r2 = multi_restart_argmin(objective, 6, budget, np.random.default_rng(5))
+        r1 = best_of_restarts(objective, 6, 4, np.random.default_rng(5))
+        r2 = best_of_restarts(objective, 6, 4, np.random.default_rng(5))
         assert r1[0] == r2[0] and r1[1] == r2[1]
 
     def test_candidates_in_restart_order(self):
         objective, _ = random_qap_objective(5, np.random.default_rng(13))
-        budget = SearchBudget(restarts=6)
-        cands = multi_restart_candidates(objective, 5, budget, np.random.default_rng(6))
+        cands = multi_restart_candidates(objective, 5, 6, np.random.default_rng(6))
         assert len(cands) == 6
-        best = multi_restart_argmin(objective, 5, budget, np.random.default_rng(6))
-        assert best[1] == min(v for _, v in cands)
+        rng = np.random.default_rng(6)
+        starts = [random_permutation(5, rng) for _ in range(6)]
+        assert cands == [local_search(objective, s, max_steps(5)) for s in starts]
 
 
-def solve_ts_qap(q, budget, rng):
-    return solve_ts_qap_candidates(q, budget, rng)[0][0]
+def solve_ts_qap(q, restarts, rng):
+    return solve_ts_qap_candidates(q, restarts, rng)[0][0]
 
 
 class TestSolveTsQap:
     def test_d2_picks_the_better_of_both(self):
         for c in (1.0, -1.0):
             q = build_qap(np.array([c]), 2)
-            p = solve_ts_qap(q, SearchBudget(restarts=2), np.random.default_rng(0))
+            p = solve_ts_qap(q, 2, np.random.default_rng(0))
             # identity scores -c, the swap scores +c
             want = Permutation([0, 1]) if c > 0 else Permutation([1, 0])
             assert p == want
@@ -224,7 +220,7 @@ class TestSolveTsQap:
                 w = rng.standard_normal(num_pairs(d))
                 q = build_qap(w, d)
                 _, v_star = solve_qap_exhaustive(q)
-                p = solve_ts_qap(q, SearchBudget(restarts=10), np.random.default_rng(trial))
+                p = solve_ts_qap(q, 10, np.random.default_rng(trial))
                 iu, ju = np.triu_indices(d, 1)
                 v = float(np.sum(q.W[iu, ju] * np.sign(p.values[iu] - p.values[ju])))
                 assert v == pytest.approx(v_star, abs=1e-10)
@@ -232,7 +228,7 @@ class TestSolveTsQap:
     def test_output_is_valid_bijection(self):
         rng = np.random.default_rng(15)
         q = build_qap(rng.standard_normal(num_pairs(8)), 8)
-        p = solve_ts_qap(q, SearchBudget(restarts=3), rng)
+        p = solve_ts_qap(q, 3, rng)
         Permutation(list(p))
 
     def test_scaling_invariance_of_argmin(self):
@@ -248,8 +244,7 @@ class TestSolveTsQap:
 
     def test_best_of_candidates(self):
         q = build_qap(np.random.default_rng(17).standard_normal(num_pairs(9)), 9)
-        budget = SearchBudget(restarts=6)
-        cands = solve_ts_qap_candidates(q, budget, np.random.default_rng(4))
+        cands = solve_ts_qap_candidates(q, 6, np.random.default_rng(4))
         assert len(cands) == 6
         assert [v for _, v in cands] == sorted(v for _, v in cands)
 

@@ -4,13 +4,10 @@ import pytest
 from permbo.perm import (
     Permutation,
     compose,
-    concordant_pairs,
     discordant_pairs,
     identity,
-    inverse,
     kendall_feature_map,
     num_pairs,
-    pair_index,
     permutation_matrix,
     random_permutation,
     swap_neighbors,
@@ -128,7 +125,6 @@ class TestDiscordantPairs:
                 nd = discordant_pairs(a, b)
                 assert nd == nd_oracle(a, b)
                 assert nd == discordant_pairs(b, a)
-                assert nd + concordant_pairs(a, b) == num_pairs(d)
                 pairs += 1
 
     def test_right_invariance(self):
@@ -169,12 +165,6 @@ class TestFeatureMap:
                 got = kendall_feature_map(a) @ kendall_feature_map(b)
                 assert abs(got - want) < 1e-12
 
-    def test_pair_index_matches_triu_order(self):
-        for d in (3, 5, 8):
-            iu, ju = np.triu_indices(d, 1)
-            for k, (i, j) in enumerate(zip(iu, ju)):
-                assert pair_index(int(i), int(j), d) == k
-
 
 class TestNeighbors:
     def test_count(self):
@@ -205,8 +195,9 @@ class TestComposeInverse:
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = random_permutation(7, rng)
-            assert compose(p, inverse(p)) == identity(7)
-            assert compose(inverse(p), p) == identity(7)
+            inv = Permutation(np.argsort(p.values))
+            assert compose(p, inv) == identity(7)
+            assert compose(inv, p) == identity(7)
 
     def test_mutually_inverse_cycles(self):
         assert compose(Permutation([1, 2, 0]), Permutation([2, 0, 1])) == identity(3)
