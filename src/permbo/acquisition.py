@@ -2,11 +2,10 @@
 
 Expected improvement is scored either at given rows or, for the bops-h
 local search, at the whole 2-swap neighbourhood of one row at once
-(``swap_neighbour_ei``). The neighbourhood is never built: its
-discordances to the training rows are the current row's plus exact
-integer swap deltas, and the Mallows kernel is read from a table indexed
-by the discordant-pair count. Neighbours that are training points score
-zero.
+(``swap_neighbour_ei``), from the two prediction routes of ``gp``. Both
+share one definition (``_ei``), in which training points score zero:
+re-querying an evaluated point of a deterministic objective improves
+nothing.
 
 A weight vector sampled from the Kendall weight posterior induces the
 linear objective w^T phi(pi). Arranging the weights into a strictly
@@ -48,7 +47,8 @@ def expected_improvement_batch(
 ) -> np.ndarray:
     """Closed-form EI, E[max(incumbent - f, 0)], at each row of the (n, d) ``queries``.
 
-    Always >= 0; zero where the predictive standard deviation is below ``EI_STD_FLOOR``.
+    Always >= 0; zero at training points and where the predictive
+    standard deviation is below ``EI_STD_FLOOR``.
     """
     return _ei(*predict_batch(m, queries), incumbent)
 
@@ -56,25 +56,22 @@ def expected_improvement_batch(
 def swap_neighbour_ei(m: GpModel, values: np.ndarray, incumbent: float) -> np.ndarray:
     """EI at all C(d,2) 2-swap neighbours of ``values``, in pair order.
 
-    Neighbours that are training points score zero: re-querying an
-    evaluated point of a deterministic objective improves nothing.
-    Otherwise bit-identical to ``expected_improvement_batch`` on
+    Bit-identical to ``expected_improvement_batch`` on
     ``swap_neighbor_matrix(values)``.
     """
-    means, variances, evaluated = predict_swap_neighbours(m, values)
-    ei = _ei(means, variances, incumbent)
-    ei[evaluated] = 0.0
-    return ei
+    return _ei(*predict_swap_neighbours(m, values), incumbent)
 
 
-def _ei(means: np.ndarray, variances: np.ndarray, incumbent: float) -> np.ndarray:
+def _ei(
+    means: np.ndarray, variances: np.ndarray, evaluated: np.ndarray, incumbent: float
+) -> np.ndarray:
     s = np.sqrt(variances)
     improve = incumbent - means
     uncertain = s > EI_STD_FLOOR
     z = np.divide(improve, s, out=np.zeros_like(s), where=uncertain)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     ei = improve * ndtr(z) + s * pdf
-    ei[~uncertain] = 0.0
+    ei[~uncertain | evaluated] = 0.0
     return np.maximum(ei, 0.0)
 
 

@@ -249,21 +249,6 @@ def aggregate(per_rep: list[list[list]]) -> list[list]:
     return agg
 
 
-def run_experiment(
-    uri: str,
-    algo: str,
-    n_iters: int,
-    n_init: int,
-    reps: int,
-    restarts: int,
-    seed: int,
-    jobs: int = 1,
-) -> tuple[list[list], list[list]]:
-    """All replications -> (raw rows, aggregate rows), deterministic given seed."""
-    per_rep = list(replications(uri, algo, n_iters, n_init, reps, restarts, seed, jobs))
-    return [row for rows in per_rep for row in rows], aggregate(per_rep)
-
-
 # --- nll ------------------------------------------------------------------------
 
 
@@ -325,7 +310,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_config(path: Path, payload: dict) -> None:
+def _write_config(path: Path, args: argparse.Namespace) -> None:
+    """Echo the parsed command line, all of it but ``--out``, as JSON."""
+    payload = {k: v for k, v in vars(args).items() if k not in ("out", "func")}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -347,20 +334,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_config(
-        out / "config.json",
-        {
-            "command": "run",
-            "benchmark": args.benchmark,
-            "algo": args.algo,
-            "iters": args.iters,
-            "init": args.init,
-            "reps": args.reps,
-            "restarts": args.restarts,
-            "seed": args.seed,
-            "jobs": args.jobs,
-        },
-    )
+    _write_config(out / "config.json", args)
     done: list[list[list]] = []
     with open(out / "raw.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -395,18 +369,7 @@ def cmd_nll(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "nll.csv", NLL_HEADER, rows)
-    _write_config(
-        out / "config.json",
-        {
-            "command": "nll",
-            "benchmark": args.benchmark,
-            "train_sizes": args.train_sizes,
-            "reps": args.reps,
-            "test_sets": args.test_sets,
-            "test_size": args.test_size,
-            "seed": args.seed,
-        },
-    )
+    _write_config(out / "config.json", args)
     print(f"wrote {out / 'nll.csv'} ({len(rows)} rows)")
     return 0
 
@@ -432,15 +395,22 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for integers that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1)
 
 
 def _counts(text: str) -> list[int]:
@@ -464,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--init", type=_count, default=20)
     p_run.add_argument("--reps", type=_count, default=20)
     p_run.add_argument("--restarts", type=_count, default=10)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_int_at_least(0), default=0)
     p_run.add_argument("--jobs", type=_count, default=1)
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
@@ -475,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_nll.add_argument("--reps", type=_count, default=10)
     p_nll.add_argument("--test-sets", type=_count, default=10)
     p_nll.add_argument("--test-size", type=_count, default=50)
-    p_nll.add_argument("--seed", type=int, default=0)
+    p_nll.add_argument("--seed", type=_int_at_least(0), default=0)
     p_nll.add_argument("--out", required=True)
     p_nll.set_defaults(func=cmd_nll)
 
     p_solve = sub.add_parser("solve-qap", help="solve one QAPLIB instance")
     p_solve.add_argument("path")
     p_solve.add_argument("--restarts", type=_count, default=10)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=_int_at_least(0), default=0)
     p_solve.add_argument("--exact", action="store_true")
     p_solve.set_defaults(func=cmd_solve_qap)
     return parser

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .acquisition import build_qap, expected_improvement_batch, swap_neighbour_ei
-from .gp import fit, is_training_point, sample_weights, weight_posterior
+from .gp import fit, sample_weights, weight_posterior
 from .kernels import KENDALL, MALLOWS, KernelSpec
 from .optimizers import multi_restart_candidates, solve_ts_qap_candidates
 from .perm import Permutation, random_permutation
@@ -82,11 +82,6 @@ class BoTrace:
     def values(self, phase: str | None = None) -> np.ndarray:
         return np.array(
             [r.value for r in self.records if phase is None or r.phase == phase]
-        )
-
-    def best_curve(self, phase: str | None = None) -> np.ndarray:
-        return np.array(
-            [r.best for r in self.records if phase is None or r.phase == phase]
         )
 
     def perms(self, phase: str | None = None) -> list[Permutation]:
@@ -173,15 +168,10 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
         model = fit(template, run.xs, run.ys)
         incumbent = min(run.ys)
 
+        # The model is fitted on every evaluated point, so the points EI
+        # scores zero as training points are exactly the evaluated ones.
         def neg_ei(p: Permutation) -> float:
-            # Re-querying an evaluated point of a deterministic objective
-            # yields no improvement, so its acquisition value is zero. The
-            # model is fitted on every evaluated point, so those are
-            # exactly its training points.
-            rows = np.ascontiguousarray(p.values[None, :], dtype=np.int64)
-            ei = expected_improvement_batch(model, rows, incumbent)
-            ei[is_training_point(model, rows)] = 0.0
-            return float(-ei[0])
+            return -expected_improvement_batch(model, p.values[None, :], incumbent)[0]
 
         def neg_ei_neighbourhood(values: np.ndarray) -> np.ndarray:
             return -swap_neighbour_ei(model, values, incumbent)

@@ -16,11 +16,18 @@ that factor (Woodbury), so weight-space and function-space posteriors
 share one factorization. An oracle test checks both NLML routes against
 a dense log-determinant evaluation.
 
-Prediction at the whole 2-swap neighbourhood of one row
-(``predict_swap_neighbours``) gets the discordances from swap deltas
-against the training rows' sign matrices and the kernel values from a
-table indexed by the discordant-pair count, both cached on the model on
-first use; it gives the same bits as ``predict_batch`` on the built rows.
+Both kernels are functions of the discordant-pair count n_d alone, so
+the fit and the predictions read every kernel value from one table over
+n_d = 0..C(d,2): the fit gathers its Gram matrices from it, and the
+fitted model keeps the chosen one (``GpModel.kernel_table``). Every
+prediction goes through one route (``_moments``) from the (n, q)
+discordances between training and query rows, which also marks the
+queries that are training points (n_d = 0 to one of them).
+``predict_batch`` counts the discordances against given rows;
+``predict_swap_neighbours`` gets them for the whole 2-swap neighbourhood
+of one row from swap deltas against the training rows' sign matrices,
+without building the neighbours, and gives the same bits as
+``predict_batch`` on the built rows.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .kernels import (
     gram_matrix,
     stack_values,
 )
-from .perm import Permutation, kendall_feature_matrix
+from .perm import Permutation, kendall_feature_matrix, num_pairs
 
 SIGNAL_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -59,17 +66,17 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class GpModel:
-    """Fitted GP: training set, Cholesky factor of K + noise*I, solved weights.
+    """Fitted GP: training rows, Cholesky factor of K + noise*I, solved weights.
 
-    y values are standardized internally; y_mean/y_std undo it at
-    prediction time. ``jitter`` is the absolute diagonal stabilizer that
-    was actually used (it enters the effective observation noise seen by
-    the weight-space posterior).
+    ``x_array`` holds the (n, d) training rows. y values are standardized
+    internally; y_mean/y_std undo it at prediction time. ``jitter`` is the
+    absolute diagonal stabilizer that was actually used (it enters the
+    effective observation noise seen by the weight-space posterior).
+    ``kernel_table`` is signal * k(n_d) at every discordant-pair count
+    n_d = 0..C(d,2).
     """
 
     spec: KernelSpec
-    train_x: list[Permutation]
-    train_y_raw: np.ndarray
     y_mean: float
     y_std: float
     y_tilde: np.ndarray
@@ -77,27 +84,20 @@ class GpModel:
     alpha: np.ndarray
     jitter: float
     x_array: np.ndarray = field(repr=False)
+    kernel_table: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.train_x)
+        return self.x_array.shape[0]
 
     @property
     def d(self) -> int:
-        return self.train_x[0].d
+        return self.x_array.shape[1]
 
     @functools.cached_property
     def sign_stack(self) -> np.ndarray:
         """``accel.sign_stack`` of the training rows."""
         return accel.sign_stack(self.x_array)
-
-    @functools.cached_property
-    def kernel_table(self) -> np.ndarray:
-        """signal * k(n_d) at every discordant-pair count n_d = 0..C(d,2)."""
-        d = self.d
-        return self.spec.signal_variance * base_kernel_from_nd(
-            self.spec.family, np.arange(d * (d - 1) // 2 + 1), d, self.spec.lengthscale
-        )
 
 
 @dataclass
@@ -199,6 +199,7 @@ def fit(
     y_mean, y_std, y_tilde = _standardize(ys, standardize)
 
     nd = accel.discordance_matrix(x_array)
+    counts = np.arange(num_pairs(d) + 1)
 
     if optimize:
         signals = np.asarray(SIGNAL_GRID, dtype=np.float64)
@@ -208,7 +209,7 @@ def fit(
         )
         best_val, best = math.inf, None
         for ell in lengthscales:
-            lam, Q = _eigh(base_kernel_from_nd(spec_template.family, nd, d, ell))
+            lam, Q = _eigh(base_kernel_from_nd(spec_template.family, counts, d, ell)[nd])
             table = _nlml_table(lam, Q.T @ y_tilde, signals, noises)
             i, j = np.unravel_index(np.argmin(table), table.shape)
             if table[i, j] < best_val:
@@ -219,13 +220,11 @@ def fit(
     else:
         spec = spec_template
 
-    base = base_kernel_from_nd(spec.family, nd, d, spec.lengthscale)
-    L, jitter = _factor(base, spec.signal_variance, spec.noise_variance)
+    base = base_kernel_from_nd(spec.family, counts, d, spec.lengthscale)
+    L, jitter = _factor(base[nd], spec.signal_variance, spec.noise_variance)
     alpha = cho_solve((L, True), y_tilde)
     return GpModel(
         spec=spec,
-        train_x=xs,
-        train_y_raw=ys,
         y_mean=y_mean,
         y_std=y_std,
         y_tilde=y_tilde,
@@ -233,17 +232,18 @@ def fit(
         alpha=alpha,
         jitter=jitter,
         x_array=x_array,
+        kernel_table=spec.signal_variance * base,
     )
 
 
 def predict_batch(
     m: GpModel, queries: Sequence[Permutation] | np.ndarray, include_noise: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at many query permutations.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior means and variances at many query permutations, and which are training points.
 
     Variances are the latent-function ones (clamped at zero) unless
-    ``include_noise`` adds the fitted observation-noise variance. Both
-    outputs are in raw (de-standardized) units.
+    ``include_noise`` adds the fitted observation-noise variance. Means
+    and variances are in raw (de-standardized) units.
     """
     if isinstance(queries, np.ndarray):
         q = np.atleast_2d(queries).astype(np.int64)
@@ -251,42 +251,30 @@ def predict_batch(
         q = stack_values(list(queries))
     if q.shape[1] != m.d:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {m.d}")
-    nd = accel.cross_discordance_matrix(m.x_array, q)
-    kstar = m.spec.signal_variance * base_kernel_from_nd(
-        m.spec.family, nd, m.d, m.spec.lengthscale
-    )
-    return _moments(m, kstar, include_noise)
+    return _moments(m, accel.cross_discordance_matrix(m.x_array, q), include_noise)
 
 
 def predict_swap_neighbours(
     m: GpModel, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent posterior at all C(d,2) 2-swap neighbours of ``values``, in pair order.
+    """``predict_batch`` at all C(d,2) 2-swap neighbours of ``values``, in pair order.
 
-    Returns the means, the variances and which neighbours are training
-    points. The moments equal, bit for bit, ``predict_batch`` on
-    ``swap_neighbor_matrix(values)``, without building those rows: the
+    Gives the same bits as ``predict_batch`` on
+    ``swap_neighbor_matrix(values)`` without building those rows: the
     discordances come from swap deltas against the training sign
-    matrices (``accel.swap_discordances``), and the kernel values are
-    read from ``m.kernel_table``. A neighbour is a training point exactly
-    when its discordance to some training row is 0.
+    matrices (``accel.swap_discordances``).
     """
-    nd = accel.swap_discordances(m.sign_stack, values)
-    # A C-ordered kstar, like predict_batch's, so the BLAS and LAPACK
-    # calls take the same path and round the same way.
-    means, variances = _moments(m, m.kernel_table[nd])
-    return means, variances, (nd == 0).any(axis=0)
-
-
-def is_training_point(m: GpModel, queries: np.ndarray) -> np.ndarray:
-    """Which rows of ``queries`` are training points (discordance 0 to one of them)."""
-    return (accel.cross_discordance_matrix(m.x_array, queries) == 0).any(axis=0)
+    return _moments(m, accel.swap_discordances(m.sign_stack, values))
 
 
 def _moments(
-    m: GpModel, kstar: np.ndarray, include_noise: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-unit posterior means and variances from the (n, q) cross-covariances."""
+    m: GpModel, nd: np.ndarray, include_noise: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw-unit posterior means and variances from the (n, q) discordances,
+    and which queries are training points (discordance 0 to one of them)."""
+    # Both routes pass a C-ordered nd, so kstar is C-ordered too and the
+    # BLAS and LAPACK calls take the same path and round the same way.
+    kstar = m.kernel_table[nd]
     mean_std = kstar.T @ m.alpha
     # LAPACK trtrs, called as solve_triangular calls it on the fit's
     # Fortran-ordered factor, without its input checks.
@@ -297,14 +285,14 @@ def _moments(
     var_std = np.maximum(var_std, 0.0)
     if include_noise:
         var_std = var_std + m.spec.noise_variance
-    return m.y_mean + m.y_std * mean_std, (m.y_std**2) * var_std
+    return m.y_mean + m.y_std * mean_std, (m.y_std**2) * var_std, (nd == 0).any(axis=0)
 
 
 def predict(
     m: GpModel, p: Permutation, include_noise: bool = False
 ) -> tuple[float, float]:
     """Posterior mean and variance at a single permutation."""
-    means, variances = predict_batch(m, p.values[None, :], include_noise)
+    means, variances, _ = predict_batch(m, p.values[None, :], include_noise)
     return float(means[0]), float(variances[0])
 
 
@@ -328,7 +316,7 @@ def test_nll(
     test_ys = np.asarray(test_ys, dtype=np.float64)
     if len(test_xs) == 0:
         raise ValueError("empty test set")
-    means, variances = predict_batch(m, test_xs, include_noise=True)
+    means, variances, _ = predict_batch(m, test_xs, include_noise=True)
     nlls = 0.5 * (np.log(2.0 * np.pi * variances) + (test_ys - means) ** 2 / variances)
     return float(np.mean(nlls))
 

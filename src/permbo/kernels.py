@@ -87,7 +87,9 @@ def base_kernel_from_nd(family: str, nd: np.ndarray, d: int, lengthscale: float 
         m = num_pairs(d)
         return (m - 2.0 * nd) / m
     if family == MALLOWS:
-        return np.exp(-lengthscale * nd)
+        # A huge lengthscale overflows -l * n_d to -inf, whose exp is the right 0.
+        with np.errstate(over="ignore"):
+            return np.exp(-lengthscale * nd)
     raise ValueError(f"unknown kernel family {family!r}")
 
 

@@ -26,7 +26,7 @@ ROW = np.arange(5)[None, :]
 def _stub_predict(mean, var):
     def fake(model, queries, include_noise=False):
         k = np.atleast_2d(queries).shape[0]
-        return np.full(k, mean), np.full(k, var)
+        return np.full(k, mean), np.full(k, var), np.zeros(k, dtype=bool)
 
     return fake
 

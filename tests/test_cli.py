@@ -24,8 +24,9 @@ from permbo.cli import (
     BenchmarkError,
     main,
     nll_experiment,
+    aggregate,
     parse_benchmark,
-    run_experiment,
+    replications,
     run_one_rep,
 )
 
@@ -157,6 +158,29 @@ def test_bad_noise_is_one_usage_error_line_without_warnings():
     assert out.returncode == 2
     assert out.stderr.startswith("error: synthetic option noise must be a finite number")
     assert "Warning" not in out.stderr and out.stdout == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--benchmark", "qaplib:{qap}", "--algo", "random", "--iters", "1", "--out", "{out}"],
+    ["nll", "--benchmark", "synthetic:d=4", "--out", "{out}"],
+    ["solve-qap", "{qap}"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, qap_file, command):
+    argv = [a.format(qap=qap_file, out=tmp_path / "r") for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [qap_file]
+
+
+def test_huge_mallows_lengthscale_prints_nothing_on_stderr(tmp_path):
+    out = _python_m_permbo(
+        "nll", "--benchmark", "gpdraw:d=3,l=1e308", "--train-sizes", "5", "--reps", "1",
+        "--test-sets", "1", "--test-size", "5", "--out", str(tmp_path / "r"),
+    )
+    assert out.returncode == 0
+    assert out.stderr == ""
 
 
 class TestBenchmarkUriFuzz:
@@ -311,9 +335,9 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
 
-    def test_run_experiment_rejects_zero_reps(self):
+    def test_replications_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps must be >= 1"):
-            run_experiment("synthetic:d=4", "random", 1, 2, 0, 10, 0)
+            replications("synthetic:d=4", "random", 1, 2, 0, 10, 0)
 
     def test_non_finite_objective_exits_1(self, tmp_path, capsys):
         # Finite entries whose products overflow: the instance loads, and
@@ -371,16 +395,14 @@ class TestCmdRun:
                 assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        raw1, agg1 = run_experiment(
-            "synthetic:d=5", "random", n_iters=6, n_init=4, reps=3,
-            restarts=5, seed=9, jobs=1,
+        serial, parallel = (
+            list(replications("synthetic:d=5", "random", 6, 4, 3, 5, 9, jobs))
+            for jobs in (1, 2)
         )
-        raw2, agg2 = run_experiment(
-            "synthetic:d=5", "random", n_iters=6, n_init=4, reps=3,
-            restarts=5, seed=9, jobs=2,
-        )
-        assert [r[:6] for r in raw1] == [r[:6] for r in raw2]
-        assert agg1 == agg2
+        assert [[r[:6] for r in rows] for rows in serial] == [
+            [r[:6] for r in rows] for rows in parallel
+        ]
+        assert aggregate(serial) == aggregate(parallel)
 
     def test_ctrl_c_with_jobs_does_not_wait_for_queued_replications(self, tmp_path):
         # Ctrl-C reaches the whole process group. The workers must ignore it

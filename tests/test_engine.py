@@ -45,7 +45,7 @@ class TestTraceContracts:
         assert [r.phase for r in trace.records] == ["init"] * 6 + ["bo"] * 7
         for r in trace.records:
             Permutation(list(r.perm))  # re-validate
-        bests = trace.best_curve()
+        bests = [r.best for r in trace.records]
         assert np.all(np.diff(bests) <= 0)
         assert trace.best_value == min(trace.values())
 

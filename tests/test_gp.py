@@ -193,7 +193,7 @@ class TestPredict:
         xs, ys = _dataset(rng, 7, 30)
         m = fit(KernelSpec("kendall"), xs, ys)
         queries = np.stack([random_permutation(7, rng).values for _ in range(1000)])
-        _, variances = predict_batch(m, queries)
+        _, variances, _ = predict_batch(m, queries)
         assert np.all(variances >= 0)
 
     def test_training_variance_below_far_variance(self):

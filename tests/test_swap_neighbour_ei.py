@@ -9,7 +9,7 @@ the local search it drives must take the same walk.
 import numpy as np
 import pytest
 
-from permbo.acquisition import expected_improvement_batch, swap_neighbour_ei
+from permbo.acquisition import _ei, expected_improvement_batch, swap_neighbour_ei
 from permbo.gp import fit, predict_batch, predict_swap_neighbours
 from permbo.kernels import KENDALL, MALLOWS, KernelSpec
 from permbo.optimizers import local_search
@@ -36,10 +36,14 @@ def _case(rng, d, family):
     return model, start, incumbent
 
 
+def _seen(model):
+    return {x.tobytes() for x in model.x_array}
+
+
 def _masked_batch_ei(model, rows, incumbent):
-    # The previous scoring: EI on the rows, zero where a row was evaluated.
+    # Batch EI on the rows, and zero where a row is a training row byte for byte.
     ei = expected_improvement_batch(model, rows, incumbent)
-    seen = {x.values.tobytes() for x in model.train_x}
+    seen = _seen(model)
     for k, row in enumerate(rows):
         if row.tobytes() in seen:
             ei[k] = 0.0
@@ -69,17 +73,18 @@ def test_scorer_is_bit_identical_to_batch_ei_on_built_neighbours(family):
             model, start, incumbent = _case(rng, d, family)
             rows = swap_neighbor_matrix(start.values)
             means, variances, evaluated = predict_swap_neighbours(model, start.values)
-            want_means, want_variances = predict_batch(model, rows)
+            want_means, want_variances, want_evaluated = predict_batch(model, rows)
             assert means.tobytes() == want_means.tobytes()
             assert variances.tobytes() == want_variances.tobytes()
-            seen = {x.values.tobytes() for x in model.train_x}
+            seen = _seen(model)
             assert list(evaluated) == [row.tobytes() in seen for row in rows]
+            assert list(want_evaluated) == list(evaluated)
 
             got = swap_neighbour_ei(model, start.values, incumbent)
             want = _masked_batch_ei(model, rows, incumbent)
             assert got.shape == (num_pairs(d),)
             assert got.tobytes() == want.tobytes()
-            unmasked = expected_improvement_batch(model, rows, incumbent)
+            unmasked = _ei(means, variances, np.zeros(len(rows), dtype=bool), incumbent)
             masked_something += int(np.any(unmasked[evaluated] > 0.0))
     assert masked_something > 0
 
