@@ -1,5 +1,13 @@
 """Bayesian optimization of expensive black-box functions over permutation spaces."""
 
+import os
+
+# One BLAS and OpenMP thread unless the environment names a count: permbo's
+# matrices are small, and extra threads mostly contend. This reaches BLAS only
+# if numpy is not imported yet, as when ``permbo`` or ``python -m permbo`` starts.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .acquisition import QapMatrices, build_qap
 from .benchmarks import (
     QapInstance,

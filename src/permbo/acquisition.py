@@ -22,13 +22,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .accel import pair_indices
 from .gp import GpModel, predict_batch, predict_swap_neighbours
 from .perm import num_pairs
 
-#: Below this predictive standard deviation EI is defined as zero.
+#: Below this predictive standard deviation, in units of the fitted
+#: ``GpModel.y_std``, EI is defined as zero.
 EI_STD_FLOOR = 1e-12
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -48,9 +48,9 @@ def expected_improvement_batch(
     """Closed-form EI, E[max(incumbent - f, 0)], at each row of the (n, d) ``queries``.
 
     Always >= 0; zero at training points and where the predictive
-    standard deviation is below ``EI_STD_FLOOR``.
+    standard deviation is below ``EI_STD_FLOOR`` times ``m.y_std``.
     """
-    return _ei(*predict_batch(m, queries), incumbent)
+    return _ei(*predict_batch(m, queries), incumbent, m.y_std)
 
 
 def swap_neighbour_ei(m: GpModel, values: np.ndarray, incumbent: float) -> np.ndarray:
@@ -59,15 +59,23 @@ def swap_neighbour_ei(m: GpModel, values: np.ndarray, incumbent: float) -> np.nd
     Bit-identical to ``expected_improvement_batch`` on
     ``swap_neighbor_matrix(values)``.
     """
-    return _ei(*predict_swap_neighbours(m, values), incumbent)
+    return _ei(*predict_swap_neighbours(m, values), incumbent, m.y_std)
 
 
 def _ei(
-    means: np.ndarray, variances: np.ndarray, evaluated: np.ndarray, incumbent: float
+    means: np.ndarray,
+    variances: np.ndarray,
+    evaluated: np.ndarray,
+    incumbent: float,
+    y_std: float,
 ) -> np.ndarray:
+    # Imported here: only EI needs scipy.special, and importing it costs
+    # every process that never scores EI tens of milliseconds at start.
+    from scipy.special import ndtr
+
     s = np.sqrt(variances)
     improve = incumbent - means
-    uncertain = s > EI_STD_FLOOR
+    uncertain = s > EI_STD_FLOOR * y_std
     z = np.divide(improve, s, out=np.zeros_like(s), where=uncertain)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
     ei = improve * ndtr(z) + s * pdf

@@ -6,15 +6,17 @@ sampling. Observations are standardized internally; hyperparameters are
 selected by exhaustive, deterministic grid search on the log marginal
 likelihood.
 
-The grid search makes one symmetric eigendecomposition of the unit-signal
-kernel matrix per lengthscale. Eigenvalues shift affinely under signal
-and noise scaling, so the whole (signal, noise) grid of negative log
-marginal likelihoods is then one vectorised table; the first minimum in
-(lengthscale, signal, noise) order wins. The chosen model is
-Cholesky-factored for prediction, and the Kendall weight posterior reuses
-that factor (Woodbury), so weight-space and function-space posteriors
-share one factorization. An oracle test checks both NLML routes against
-a dense log-determinant evaluation.
+The grid search makes one Householder tridiagonal reduction (LAPACK
+``sytrd``) per lengthscale, of the kernel matrix bordered by the
+standardized targets (``_bordered_tridiagonal``). One backward pivot
+recurrence then gives the negative log marginal likelihood of every
+(lengthscale, signal, noise) triple in n numpy steps (``_nlml_grid``;
+Golub & Van Loan, Matrix Computations, 8.3), and the first minimum in
+that order wins. The chosen model is Cholesky-factored for prediction,
+and the Kendall weight posterior reuses that factor (Woodbury), so
+weight-space and function-space posteriors share one factorization. An
+oracle test checks every grid entry against a dense log-determinant
+evaluation.
 
 Both kernels are functions of the discordant-pair count n_d alone, so
 the fit and the predictions read every kernel value from one table over
@@ -38,9 +40,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dsytrd, dsytrd_lwork, dtrtrs
 
 from . import accel
 from .kernels import (
@@ -112,47 +113,66 @@ class WeightPosterior:
 def _standardize(ys: np.ndarray, standardize: bool) -> tuple[float, float, np.ndarray]:
     if not standardize:
         return 0.0, 1.0, ys.astype(np.float64)
-    y_mean = float(np.mean(ys))
-    y_std = float(np.std(ys))
+    # Dividing by the power of two of max|y| first is exact, so the
+    # standardized values, and the test against 1e-12, do not depend on
+    # the scale of the objective, and np.std cannot overflow.
+    exponent = np.frexp(np.max(np.abs(ys)))[1]
+    scaled = np.ldexp(ys, -exponent)
+    y_mean = float(np.mean(scaled))
+    y_std = float(np.std(scaled))
     if not y_std > 1e-12:
         y_std = 1.0
-    return y_mean, y_std, (ys - y_mean) / y_std
+    return (
+        float(np.ldexp(y_mean, exponent)),
+        float(np.ldexp(y_std, exponent)),
+        (scaled - y_mean) / y_std,
+    )
 
 
-def _nlml_table(
-    lam: np.ndarray, u: np.ndarray, signals: np.ndarray, noises: np.ndarray
+def _bordered_tridiagonal(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal and off-diagonal of T, and beta, from one ``sytrd`` of [[0, y^T], [y, K]].
+
+    The reduction's first reflector maps y to beta * e_1 and leaves
+    Q^T K Q = T tridiagonal, so the n x n matrix K enters the grid only
+    through T and beta.
+    """
+    n = y.shape[0]
+    bordered = np.zeros((n + 1, n + 1), order="F")
+    bordered[1:, 0] = y
+    bordered[1:, 1:] = K
+    lwork = int(dsytrd_lwork(n + 1, lower=1)[0])
+    _, diag, off, _, info = dsytrd(bordered, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal reduction failed (sytrd info {info})")
+    return diag[1:], off[1:], float(off[0])
+
+
+def _nlml_grid(
+    a: np.ndarray, e: np.ndarray, beta: np.ndarray, signals: np.ndarray, noises: np.ndarray
 ) -> np.ndarray:
-    """NLML for every (signal, noise) pair, from one unit-signal eigensystem.
+    """NLML for every (lengthscale, signal, noise) triple, from the reductions.
 
-    ``lam`` are the eigenvalues of the unit-signal kernel matrix and ``u``
-    the standardized targets in its eigenbasis. Entry [i, j] is the NLML
-    of signal*K + (GRAM_JITTER*signal + noise)*I with signals[i] and
-    noises[j], computed with the same elementwise operations in the same
-    order as for that pair alone. It is ``inf`` where an eigenvalue of
-    that matrix is not positive.
+    ``a`` (L, n) and ``e`` (L, n - 1) are the diagonals and off-diagonals
+    of the L unit-signal tridiagonals and ``beta`` (L,) the norms of the
+    reduced targets. The pivots of s T + c I, c = GRAM_JITTER*s + noise,
+    run backwards: u_n = s a_n + c, u_k = s a_k + c - s^2 e_k^2 / u_(k+1).
+    Then log|s K + c I| = sum log u_k and y^T (s K + c I)^-1 y =
+    beta^2 / u_1. Entry [l, i, j] is ``inf`` unless every pivot is
+    positive (the matrix is positive definite) and the value is a number.
     """
-    s = signals[:, None, None]
-    nu = s * lam + GRAM_JITTER * s + noises[None, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    s = signals[None, :, None]
+    diag = s * a.T[:, :, None, None] + (GRAM_JITTER * s + noises[None, None, :])
+    off = (s * s) * (e.T**2)[:, :, None, None]
+    pivots = np.empty(diag.shape)
+    n = a.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = pivots[n - 1] = diag[n - 1]
+        for k in range(n - 2, -1, -1):
+            u = pivots[k] = diag[k] - off[k] / u
         val = 0.5 * (
-            np.sum(u * u / nu, axis=-1)
-            + np.sum(np.log(nu), axis=-1)
-            + lam.shape[0] * LOG_2PI
+            (beta**2)[:, None, None] / u + np.sum(np.log(pivots), axis=0) + n * LOG_2PI
         )
-    return np.where(np.all(nu > 0.0, axis=-1) & ~np.isnan(val), val, math.inf)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition, with LAPACK's MRRR driver as fallback.
-
-    numpy's ``eigh`` (divide and conquer) fails to converge on some finite
-    Mallows matrices that ``syevr`` decomposes; it is tried only then, so
-    every result numpy does produce stays exactly as it was.
-    """
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError:
-        return scipy.linalg.eigh(a, driver="evr")
+    return np.where(np.all(pivots > 0.0, axis=0) & ~np.isnan(val), val, math.inf)
 
 
 def _factor(
@@ -187,8 +207,13 @@ def fit(
     With ``optimize`` (the default), signal variance, noise variance and
     (Mallows only) lengthscale are chosen by minimizing the negative log
     marginal likelihood over ``LENGTHSCALE_GRID``, ``SIGNAL_GRID`` and
-    ``NOISE_GRID``, read at call time; the search is deterministic.
-    With ``optimize=False`` the template's hyperparameters are used as-is.
+    ``NOISE_GRID``, read at call time; the search is deterministic. Each
+    lengthscale costs one tridiagonal reduction of its kernel matrix
+    bordered by the standardized targets; one pivot recurrence then
+    scores the whole grid, and the first minimum in (lengthscale, signal,
+    noise) order wins. With ``optimize=False`` the template's
+    hyperparameters are used as-is. Either way the chosen model is
+    Cholesky-factored for prediction.
     """
     xs = list(xs)
     ys = np.asarray(ys, dtype=np.float64)
@@ -207,16 +232,18 @@ def fit(
         lengthscales = (
             LENGTHSCALE_GRID if spec_template.family == MALLOWS else (spec_template.lengthscale,)
         )
-        best_val, best = math.inf, None
-        for ell in lengthscales:
-            lam, Q = _eigh(base_kernel_from_nd(spec_template.family, counts, d, ell)[nd])
-            table = _nlml_table(lam, Q.T @ y_tilde, signals, noises)
-            i, j = np.unravel_index(np.argmin(table), table.shape)
-            if table[i, j] < best_val:
-                best_val, best = table[i, j], (ell, float(signals[i]), float(noises[j]))
-        if best is None:
+        reductions = [
+            _bordered_tridiagonal(base_kernel_from_nd(spec_template.family, counts, d, ell)[nd], y_tilde)
+            for ell in lengthscales
+        ]
+        a, e, beta = (np.stack(parts) for parts in zip(*reductions))
+        table = _nlml_grid(a, e, beta, signals, noises)
+        k, i, j = np.unravel_index(np.argmin(table), table.shape)
+        if not np.isfinite(table[k, i, j]):
             raise np.linalg.LinAlgError("no admissible hyperparameters on the grid")
-        spec = KernelSpec(spec_template.family, *best)
+        spec = KernelSpec(
+            spec_template.family, lengthscales[k], float(signals[i]), float(noises[j])
+        )
     else:
         spec = spec_template
 
@@ -285,7 +312,10 @@ def _moments(
     var_std = np.maximum(var_std, 0.0)
     if include_noise:
         var_std = var_std + m.spec.noise_variance
-    return m.y_mean + m.y_std * mean_std, (m.y_std**2) * var_std, (nd == 0).any(axis=0)
+    # numpy's scalar power gives the bits of float ** 2, but overflows to
+    # inf (with a warning) instead of raising at extreme objective scales.
+    var_scale = np.float64(m.y_std) ** 2
+    return m.y_mean + m.y_std * mean_std, var_scale * var_std, (nd == 0).any(axis=0)
 
 
 def predict(

@@ -356,7 +356,9 @@ class TestCmdRun:
 
     def test_replication_survives_nonconvergent_eigh(self):
         # This replication fits a 40x40 Mallows matrix on which numpy's
-        # eigh does not converge (OpenBLAS, x86-64); elsewhere it simply runs.
+        # eigh does not converge (OpenBLAS, x86-64). The fit's grid search
+        # reduces it to tridiagonal form instead of decomposing it, and
+        # the replication must run to the end.
         rows = run_one_rep("synthetic:d=15", "bops-h", 15, 40, 20, 10, 5, 3)
         assert len(rows) == 60
 
@@ -643,3 +645,30 @@ class TestCmdSolveQap:
         missing = _python_m_permbo("solve-qap", str(qap_file) + ".missing")
         assert missing.returncode == 1
         assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
+
+
+def _fresh_python(code, env=None):
+    """Output of ``python -c code`` in a fresh interpreter that imports the permbo under test."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env or _permbo_env(), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestProcessStart:
+    def test_cli_import_leaves_scipy_special_out(self):
+        # Only EI needs scipy.special; bops-t, random, GA, nll and solve-qap
+        # processes must not pay for importing it.
+        code = "import sys, permbo.cli; print('scipy.special' in sys.modules)"
+        assert _fresh_python(code) == "False\n"
+
+    @pytest.mark.parametrize("given, want", [(None, "1"), ("2", "2")])
+    def test_one_blas_thread_unless_the_user_chose(self, given, want):
+        env = _permbo_env()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+            if given is not None:
+                env[name] = given
+        code = "import os, permbo; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+        assert _fresh_python(code, env).split() == [want, want]

@@ -1,10 +1,14 @@
+import functools
 import importlib
 import inspect
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permbo import cli, engine, optimizers
 from permbo.benchmarks import SyntheticObjective, synthetic_objective
@@ -275,6 +279,36 @@ class TestBopsH:
             if r.phase == "bo" and len(seen) < 6:
                 assert r.perm.serialize() not in seen
             seen.add(r.perm.serialize())
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_run_picks(algo, k):
+    """Picks of a short run on 2**k times a hidden-optimum objective, and
+    the warnings it raised."""
+    _, objective = hidden_optimum_objective(7, seed=2)
+    factor = math.ldexp(1.0, k)
+    cfg = BoConfig(algorithm=algo, d=7, n_iters=20, n_init=10, seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_algorithm(cfg, lambda p: factor * objective(p))
+    return [r.perm.serialize() for r in trace.records], [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("algo", ["bops-t", "bops-h"])
+@given(k=st.integers(-400, 400))
+@example(k=-45)
+@example(k=-40)
+@example(k=-400)
+@example(k=400)
+@settings(max_examples=10, deadline=None)
+def test_picks_do_not_depend_on_the_objective_scale(algo, k):
+    # Values up to 21 * 2**k, their variances and every EI term stay normal
+    # floats for |k| <= 400, and scaling by a power of two is then exact
+    # everywhere, so the standardized data, the fitted model and the picks
+    # must be the same as at k = 0.
+    picks, caught = _scaled_run_picks(algo, k)
+    assert caught == []
+    assert picks == _scaled_run_picks(algo, 0)[0]
 
 
 class TestGa:

@@ -47,15 +47,6 @@ def _dense_nlml(spec, xs, y_tilde):
     return 0.5 * (quad + logdet + len(xs) * math.log(2 * math.pi))
 
 
-def _scalar_nlml(lam, u, signal, noise):
-    """One grid entry evaluated alone, as the grid search once did per pair."""
-    nu = signal * lam + GRAM_JITTER * signal + noise
-    if np.any(nu <= 0.0):
-        return math.inf
-    n = lam.shape[0]
-    return 0.5 * (float(np.sum(u * u / nu)) + float(np.sum(np.log(nu))) + n * math.log(2 * math.pi))
-
-
 def _feature_space_posterior(m):
     """Oracle: the weight posterior from the C(d,2) x C(d,2) precision matrix.
 
@@ -245,31 +236,27 @@ class TestNlml:
                     _dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8
                 )
 
-    def test_eigh_failure_falls_back_to_mrrr(self, monkeypatch):
-        # numpy's eigh can fail to converge on a finite kernel matrix; the
-        # grid search must then go on with scipy's evr driver and select
-        # what it would have selected. The failure is put on the winning
-        # lengthscale, so the fallback's eigenvalues decide the fit.
-        rng = np.random.default_rng(9)
-        xs = [random_permutation(8, rng) for _ in range(40)]
-        prior = KernelSpec("mallows", lengthscale=0.5)
-        ys = sample_gp_prior(prior, xs, rng) + 0.05 * rng.standard_normal(40)
-        want = fit(KernelSpec("mallows"), xs, ys)
-        fail_at = LENGTHSCALE_GRID.index(want.spec.lengthscale)
-        numpy_eigh = np.linalg.eigh
-        calls = []
 
-        def fails_once(a):
-            calls.append(a.shape)
-            if len(calls) == fail_at + 1:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return numpy_eigh(a)
+def _grid(family, xs, y_tilde, lengthscales):
+    """The fit's NLML grid over ``lengthscales`` x SIGNAL_GRID x NOISE_GRID."""
+    d = len(xs[0])
+    nd = accel.discordance_matrix(np.stack([p.values for p in xs]))
+    reductions = [
+        gp._bordered_tridiagonal(base_kernel_from_nd(family, nd, d, ell), y_tilde)
+        for ell in lengthscales
+    ]
+    a, e, beta = (np.stack(parts) for parts in zip(*reductions))
+    return gp._nlml_grid(a, e, beta, np.array(SIGNAL_GRID), np.array(NOISE_GRID))
 
-        monkeypatch.setattr(np.linalg, "eigh", fails_once)
-        m = fit(KernelSpec("mallows"), xs, ys)
-        assert len(calls) == len(LENGTHSCALE_GRID)
-        assert m.spec == want.spec
-        assert nlml(m) == pytest.approx(_dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8)
+
+def _assert_grid_matches_oracle(family, xs, y_tilde, lengthscales):
+    table = _grid(family, xs, y_tilde, lengthscales)
+    assert table.shape == (len(lengthscales), len(SIGNAL_GRID), len(NOISE_GRID))
+    for (k, ell), (i, s), (j, nv) in itertools.product(
+        enumerate(lengthscales), enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)
+    ):
+        oracle = _dense_nlml(KernelSpec(family, ell, s, nv), xs, y_tilde)
+        assert table[k, i, j] == pytest.approx(oracle, rel=1e-10, abs=1e-8)
 
 
 class TestNlmlTable:
@@ -279,34 +266,47 @@ class TestNlmlTable:
             ("kendall", 7, 20, (1.0,)),
             ("kendall", 4, 40, (1.0,)),  # n > C(4,2) = 6: a rank-deficient kernel
             ("mallows", 6, 25, (0.01, 0.3, 3.0)),
+            ("mallows", 6, 159, (0.01, 0.3, 3.0)),  # the size bopsh-d6 reaches
         ],
     )
     def test_every_entry_matches_dense_oracle(self, family, d, n, lengthscales):
         rng = np.random.default_rng(30 + n)
         xs, ys = _dataset(rng, d, n)
-        y_tilde = (ys - ys.mean()) / ys.std()
-        nd = accel.discordance_matrix(np.stack([p.values for p in xs]))
-        signals, noises = np.array(SIGNAL_GRID), np.array(NOISE_GRID)
-        for ell in lengthscales:
-            lam, Q = np.linalg.eigh(base_kernel_from_nd(family, nd, d, ell))
-            u = Q.T @ y_tilde
-            table = gp._nlml_table(lam, u, signals, noises)
-            assert table.shape == (len(SIGNAL_GRID), len(NOISE_GRID))
-            for (i, s), (j, nv) in itertools.product(enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)):
-                oracle = _dense_nlml(KernelSpec(family, ell, s, nv), xs, y_tilde)
-                assert table[i, j] == pytest.approx(oracle, rel=1e-10, abs=1e-8)
-                # Bit for bit what the same pair gives alone, so the grid
-                # search selects exactly what a pair-by-pair loop would.
-                assert table[i, j] == _scalar_nlml(lam, u, s, nv)
+        _assert_grid_matches_oracle(family, xs, (ys - ys.mean()) / ys.std(), lengthscales)
+
+    def test_single_observation(self):
+        # n = 1: the bordered matrix is 2 x 2 and T is the single kernel value.
+        xs = [Permutation([2, 0, 1])]
+        for y in (0.0, 0.7):
+            _assert_grid_matches_oracle("mallows", xs, np.array([y]), (0.01, 3.0))
+
+    def test_constant_targets(self):
+        # y = 0, so beta = 0: the grid is the log-determinant term alone.
+        rng = np.random.default_rng(32)
+        xs = [random_permutation(6, rng) for _ in range(15)]
+        _assert_grid_matches_oracle("mallows", xs, np.zeros(15), (0.01, 0.3, 3.0))
 
     def test_non_positive_eigenvalue_gives_inf(self):
+        # K = Q diag(lam) Q^T with one negative eigenvalue: an entry must be
+        # inf exactly where s*K + (GRAM_JITTER*s + noise)*I is not positive
+        # definite, and match the dense evaluation elsewhere.
         lam = np.array([-2e-3, 0.5, 2.0])
-        u = np.array([1.0, -2.0, 0.5])
-        table = gp._nlml_table(lam, u, np.array(SIGNAL_GRID), np.array(NOISE_GRID))
+        Q, _ = np.linalg.qr(np.random.default_rng(33).standard_normal((3, 3)))
+        K = (Q * lam) @ Q.T
+        y = np.array([1.0, -2.0, 0.5])
+        a, e, beta = gp._bordered_tridiagonal(K, y)
+        table = gp._nlml_grid(
+            a[None], e[None], np.array([beta]), np.array(SIGNAL_GRID), np.array(NOISE_GRID)
+        )[0]
         for (i, s), (j, nv) in itertools.product(enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)):
-            admissible = s * lam[0] + GRAM_JITTER * s + nv > 0.0
-            assert np.isfinite(table[i, j]) == admissible
-            assert table[i, j] == _scalar_nlml(lam, u, s, nv)
+            M = s * K + (GRAM_JITTER * s + nv) * np.eye(3)
+            definite = np.linalg.eigvalsh(M)[0] > 0.0
+            assert np.isfinite(table[i, j]) == definite
+            if definite:
+                oracle = 0.5 * (
+                    y @ np.linalg.solve(M, y) + np.linalg.slogdet(M)[1] + 3 * math.log(2 * math.pi)
+                )
+                assert table[i, j] == pytest.approx(oracle, rel=1e-10, abs=1e-8)
         assert np.isinf(table).any() and np.isfinite(table).any()
 
     def test_tie_across_lengthscales_goes_to_the_first(self, monkeypatch):
@@ -321,20 +321,24 @@ class TestNlmlTable:
             assert m.spec.lengthscale == grid[0]
 
     def test_tie_goes_to_first_entry_in_grid_order(self, monkeypatch):
-        # Tables as (signal, noise) arrays, one per lengthscale: the minimum 0
-        # appears at (1, 2) and (2, 0) for the second lengthscale and at
-        # (0, 0) for the third; the first of them in (l, signal, noise)
-        # order must win.
-        tables = [np.ones((5, 4)) for _ in range(3)]
-        tables[1][1, 2] = tables[1][2, 0] = 0.0
-        tables[2][0, 0] = 0.0
-        served = iter(tables)
-        monkeypatch.setattr(gp, "_nlml_table", lambda *args: next(served))
+        # A (lengthscale, signal, noise) table whose minimum 0 appears at
+        # (1, 1, 2), (1, 2, 0) and (2, 0, 0): the first of them in
+        # (l, signal, noise) order must win.
+        table = np.ones((3, 5, 4))
+        table[1, 1, 2] = table[1, 2, 0] = table[2, 0, 0] = 0.0
+        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: table)
         rng = np.random.default_rng(31)
         xs, ys = _dataset(rng, 6, 10)
         monkeypatch.setattr(gp, "LENGTHSCALE_GRID", (0.1, 0.2, 0.3))
         m = fit(KernelSpec("mallows"), xs, ys)
         assert m.spec == KernelSpec("mallows", 0.2, SIGNAL_GRID[1], NOISE_GRID[2])
+
+    def test_no_admissible_entry_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: np.full((1, 5, 4), math.inf))
+        rng = np.random.default_rng(34)
+        xs, ys = _dataset(rng, 6, 10)
+        with pytest.raises(np.linalg.LinAlgError, match="no admissible"):
+            fit(KernelSpec("kendall"), xs, ys)
 
 
 class TestTestNll:

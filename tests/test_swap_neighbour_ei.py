@@ -84,7 +84,7 @@ def test_scorer_is_bit_identical_to_batch_ei_on_built_neighbours(family):
             want = _masked_batch_ei(model, rows, incumbent)
             assert got.shape == (num_pairs(d),)
             assert got.tobytes() == want.tobytes()
-            unmasked = _ei(means, variances, np.zeros(len(rows), dtype=bool), incumbent)
+            unmasked = _ei(means, variances, np.zeros(len(rows), dtype=bool), incumbent, model.y_std)
             masked_something += int(np.any(unmasked[evaluated] > 0.0))
     assert masked_something > 0
 
