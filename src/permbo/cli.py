@@ -264,10 +264,14 @@ def _nll_dataset(
     if bench.kind == "gpdraw":
         prior = KernelSpec(MALLOWS, lengthscale=bench.gp_lengthscale)
         latent = sample_gp_prior(prior, perms, rng)
-        ys = latent + bench.gp_noise_sd * rng.standard_normal(total)
+        with np.errstate(over="ignore"):
+            ys = latent + bench.gp_noise_sd * rng.standard_normal(total)
     else:
         objective = make_objective(bench, rng)
         ys = np.array([objective(p) for p in perms])
+    if not np.all(np.isfinite(ys)):
+        option = " (lower its noise option)" if bench.kind in ("gpdraw", "synthetic") else ""
+        raise ValueError(f"benchmark {bench.uri!r} drew a non-finite value{option}")
     train = perms[:train_size], ys[:train_size]
     tests = []
     for k in range(n_test_sets):
@@ -386,9 +390,7 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
         best, value = brute_force_argmin(objective, inst.n)
     else:
         rng = np.random.default_rng(args.seed)
-        best, value = min(
-            multi_restart_candidates(objective, inst.n, args.restarts, rng), key=lambda r: r[1]
-        )
+        best, value = multi_restart_candidates(objective, inst.n, args.restarts, rng)[0]
     if not math.isfinite(value):
         raise ValueError(f"objective returned {value!r} for permutation {best.serialize()}")
     print(f"{best.serialize()} {value!r}")
@@ -467,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt as exc:

@@ -176,9 +176,8 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
         def neg_ei_neighbourhood(values: np.ndarray) -> np.ndarray:
             return -swap_neighbour_ei(model, values, incumbent)
 
-        candidates = sorted(
-            multi_restart_candidates(neg_ei, run.cfg.d, run.cfg.restarts, rng, neg_ei_neighbourhood),
-            key=lambda r: r[1],
+        candidates = multi_restart_candidates(
+            neg_ei, run.cfg.d, run.cfg.restarts, rng, neg_ei_neighbourhood
         )
         yield run.pick_unevaluated(candidates, rng)
 

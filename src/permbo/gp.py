@@ -22,14 +22,11 @@ Both kernels are functions of the discordant-pair count n_d alone, so
 the fit and the predictions read every kernel value from one table over
 n_d = 0..C(d,2): the fit gathers its Gram matrices from it, and the
 fitted model keeps the chosen one (``GpModel.kernel_table``). Every
-prediction goes through one route (``_moments``) from the (n, q)
-discordances between training and query rows, which also marks the
-queries that are training points (n_d = 0 to one of them).
-``predict_batch`` counts the discordances against given rows;
-``predict_swap_neighbours`` gets them for the whole 2-swap neighbourhood
-of one row from swap deltas against the training rows' sign matrices,
-without building the neighbours, and gives the same bits as
-``predict_batch`` on the built rows.
+prediction goes through ``_standardized_moments`` from the (n, q)
+discordances to the training rows: ``predict_batch`` counts them against
+given rows, ``predict_swap_neighbours`` gets them (the same bits) for a
+row's 2-swap neighbourhood from swap deltas against the training sign
+matrices, and ``test_nll`` scores held-out data in standardized units.
 """
 
 from __future__ import annotations
@@ -264,21 +261,13 @@ def fit(
 
 
 def predict_batch(
-    m: GpModel, queries: Sequence[Permutation] | np.ndarray, include_noise: bool = False
+    m: GpModel, queries: Sequence[Permutation] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posterior means and variances at many query permutations, and which are training points.
 
-    Variances are the latent-function ones (clamped at zero) unless
-    ``include_noise`` adds the fitted observation-noise variance. Means
-    and variances are in raw (de-standardized) units.
+    Raw-unit means and latent-function variances (clamped at zero).
     """
-    if isinstance(queries, np.ndarray):
-        q = np.atleast_2d(queries).astype(np.int64)
-    else:
-        q = stack_values(list(queries))
-    if q.shape[1] != m.d:
-        raise ValueError(f"dimension mismatch: {q.shape[1]} vs {m.d}")
-    return _moments(m, accel.cross_discordance_matrix(m.x_array, q), include_noise)
+    return _moments(m, _query_discordances(m, queries))
 
 
 def predict_swap_neighbours(
@@ -294,11 +283,18 @@ def predict_swap_neighbours(
     return _moments(m, accel.swap_discordances(m.sign_stack, values))
 
 
-def _moments(
-    m: GpModel, nd: np.ndarray, include_noise: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw-unit posterior means and variances from the (n, q) discordances,
-    and which queries are training points (discordance 0 to one of them)."""
+def _query_discordances(m: GpModel, queries: Sequence[Permutation] | np.ndarray) -> np.ndarray:
+    if isinstance(queries, np.ndarray):
+        q = np.atleast_2d(queries).astype(np.int64)
+    else:
+        q = stack_values(list(queries))
+    if q.shape[1] != m.d:
+        raise ValueError(f"dimension mismatch: {q.shape[1]} vs {m.d}")
+    return accel.cross_discordance_matrix(m.x_array, q)
+
+
+def _standardized_moments(m: GpModel, nd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized posterior means and latent variances from the (n, q) discordances."""
     # Both routes pass a C-ordered nd, so kstar is C-ordered too and the
     # BLAS and LAPACK calls take the same path and round the same way.
     kstar = m.kernel_table[nd]
@@ -309,20 +305,22 @@ def _moments(
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
     var_std = m.spec.signal_variance - np.sum(v * v, axis=0)
-    var_std = np.maximum(var_std, 0.0)
-    if include_noise:
-        var_std = var_std + m.spec.noise_variance
+    return mean_std, np.maximum(var_std, 0.0)
+
+
+def _moments(m: GpModel, nd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw-unit posterior means and variances from the (n, q) discordances,
+    and which queries are training points (discordance 0 to one of them)."""
+    mean_std, var_std = _standardized_moments(m, nd)
     # numpy's scalar power gives the bits of float ** 2, but overflows to
     # inf (with a warning) instead of raising at extreme objective scales.
     var_scale = np.float64(m.y_std) ** 2
     return m.y_mean + m.y_std * mean_std, var_scale * var_std, (nd == 0).any(axis=0)
 
 
-def predict(
-    m: GpModel, p: Permutation, include_noise: bool = False
-) -> tuple[float, float]:
+def predict(m: GpModel, p: Permutation) -> tuple[float, float]:
     """Posterior mean and variance at a single permutation."""
-    means, variances, _ = predict_batch(m, p.values[None, :], include_noise)
+    means, variances, _ = predict_batch(m, p.values[None, :])
     return float(means[0]), float(variances[0])
 
 
@@ -338,17 +336,17 @@ def nlml(m: GpModel) -> float:
 def test_nll(
     m: GpModel, test_xs: Sequence[Permutation], test_ys: Sequence[float]
 ) -> float:
-    """Mean negative log predictive density of held-out observations.
-
-    Scores observations, so the predictive variance includes the fitted
-    noise variance.
-    """
+    """Mean negative log predictive density of held-out observations, with the fitted
+    noise in the predictive variance; scored in standardized units, where finite data
+    scores finite, plus log(y_std)."""
     test_ys = np.asarray(test_ys, dtype=np.float64)
     if len(test_xs) == 0:
         raise ValueError("empty test set")
-    means, variances, _ = predict_batch(m, test_xs, include_noise=True)
-    nlls = 0.5 * (np.log(2.0 * np.pi * variances) + (test_ys - means) ** 2 / variances)
-    return float(np.mean(nlls))
+    means, variances = _standardized_moments(m, _query_discordances(m, test_xs))
+    variances = variances + m.spec.noise_variance
+    residuals = test_ys / m.y_std - m.y_mean / m.y_std - means
+    nlls = 0.5 * (np.log(2.0 * np.pi * variances) + residuals**2 / variances)
+    return float(np.mean(nlls)) + math.log(m.y_std)
 
 
 def weight_posterior(m: GpModel) -> WeightPosterior:

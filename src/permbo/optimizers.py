@@ -1,33 +1,28 @@
-"""Optimizers over S_d: exhaustive oracle, 2-swap local search, multi-restart.
+"""Optimizers over S_d: exhaustive oracle and restarted 2-swap descent.
 
-The exhaustive search doubles as the correctness oracle for everything
-else. The generic 2-swap search, restarted from ``restarts`` uniform
-starts, optimizes expected improvement for bops-h; it takes a
-neighbourhood scorer that values all C(d,2) swaps of the current row at
-once, which bops-h computes from swap deltas of the discordances
-(``acquisition.swap_neighbour_ei``) without building the neighbour rows.
-The Thompson-sampling QAP takes the same walk through a delta-evaluated
-descent specialised to its trace objective. Every restart stops after
-``max_steps(d)`` moves at most. All search is deterministic given the
-caller's random generator.
+The exhaustive search is the correctness oracle for everything else. Both
+acquisitions are optimized by one deterministic walk, ``swap_descent``,
+from ``restarts`` uniform starts, with a scorer that values all C(d,2)
+swaps of a row at once: bops-h walks expected improvement one restart at
+a time (stacking restarts would change how BLAS rounds them), bops-t the
+Thompson-sampling trace from all restarts at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable
 
 import numpy as np
 
-from . import accel
+from . import accel, perm
 from .acquisition import QapMatrices
 from .perm import Permutation, num_pairs, random_permutation, swap_neighbor_matrix
 
 Objective = Callable[[Permutation], float]
-#: Optional neighbourhood scorer: a (d,) int row -> the (C(d,2),) objective
-#: values of its 2-swap neighbours, pairs in ``accel.pair_indices`` order.
-Neighbourhood = Callable[[np.ndarray], np.ndarray]
+Neighbourhood = Callable[[np.ndarray], np.ndarray]  # (d,) row -> its 2-swap neighbours' values
 
 #: Largest dimension the exhaustive search will accept (9! = 362880 evaluations).
 BRUTE_FORCE_MAX_D = 9
@@ -38,9 +33,7 @@ def max_steps(d: int) -> int:
     return 10 * num_pairs(d)
 
 
-def brute_force_argmin(
-    objective: Objective, d: int
-) -> tuple[Permutation, float]:
+def brute_force_argmin(objective: Objective, d: int) -> tuple[Permutation, float]:
     """Global minimizer by enumerating S_d; ties go to the lexicographically smallest mapping."""
     if d > BRUTE_FORCE_MAX_D:
         raise ValueError(f"brute force capped at d={BRUTE_FORCE_MAX_D}, got {d}")
@@ -56,38 +49,74 @@ def brute_force_argmin(
     return best_p, best_v
 
 
+@functools.lru_cache(maxsize=None)
+def _swap_orders(d: int) -> np.ndarray:
+    # Row k: 0..d-1 with the k-th pair exchanged (via ``perm``: not a traced neighbour scan).
+    return perm.swap_neighbor_matrix(np.arange(d))
+
+
+def swap_descent(
+    neighbourhood: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    starts: np.ndarray,
+    values: np.ndarray,
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-improvement 2-swap descent from every row of ``starts`` in lockstep.
+
+    ``neighbourhood(rows, values)`` gives the (A, C(d,2)) values of the
+    2-swap neighbours of (A, d) ``rows``, pairs in ``accel.pair_indices``
+    order, in the frame of the ``values`` they carry. Each step, a row moves
+    to its first best neighbour if that is strictly below its value, which
+    it then carries; otherwise it stops, 2-swap-locally optimal. A NaN
+    neighbour stops a row too, as the first NaN is the ``argmin``, and so do
+    ``max_steps`` moves. Returns the final rows and values.
+    """
+    orders = _swap_orders(starts.shape[1])
+    # A move rebinds ``rows``, so the copies of the starts can collect the results.
+    rows = final_rows = np.array(starts, dtype=np.int64)
+    values = final_values = np.array(values, dtype=np.float64)
+    walking = at = np.arange(rows.shape[0])  # result slot and batch row of each walker
+    for _ in range(max_steps):
+        scores = neighbourhood(rows, values)
+        best = scores.argmin(axis=1)
+        best_values = scores[at, best]
+        moving = (best_values < values).nonzero()[0]
+        if moving.shape[0] < at.shape[0]:
+            final_rows[walking], final_values[walking] = rows, values
+            if moving.shape[0] == 0:
+                return final_rows, final_values
+            walking, rows = walking[moving], rows[moving]
+            best, best_values = best[moving], best_values[moving]
+            at = np.arange(moving.shape[0])
+        rows, values = rows[at[:, None], orders[best]], best_values
+    final_rows[walking], final_values[walking] = rows, values
+    return final_rows, final_values
+
+
 def local_search(
     objective: Objective,
     start: Permutation,
     max_steps: int,
     neighbourhood: Neighbourhood | None = None,
 ) -> tuple[Permutation, float]:
-    """Best-improvement descent over single-transposition neighbors.
+    """Best-improvement 2-swap descent from ``start`` (``swap_descent`` on one row), valued
+    by ``objective``; ``neighbourhood``, if given, must agree with it and values all
+    neighbours at once, otherwise ``objective`` values each neighbour row."""
+    if neighbourhood is None:
+        def neighbourhood(row: np.ndarray) -> np.ndarray:
+            return np.array([objective(Permutation._wrap(r)) for r in swap_neighbor_matrix(row)])
 
-    Steps until no neighbor strictly improves or ``max_steps`` moves were
-    taken; neighbor pairs are scanned in lexicographic order and the
-    first best one wins, so the walk is deterministic. When terminated by
-    convergence the result is 2-swap-locally optimal. The start is valued
-    by ``objective``; ``neighbourhood``, if given, must agree with it and
-    values all neighbors of a state at once.
-    """
-    current = np.array(start.values)
-    current_v = float(objective(start))
-    iu, ju = accel.pair_indices(current.shape[0])
-    for _ in range(max_steps):
-        if neighbourhood is not None:
-            values = np.asarray(neighbourhood(current), dtype=np.float64)
-        else:
-            values = np.array(
-                [objective(Permutation._wrap(row)) for row in swap_neighbor_matrix(current)]
-            )
-        best = int(np.argmin(values))
-        if not values[best] < current_v:
-            break
-        a, b = iu[best], ju[best]
-        current[a], current[b] = current[b], current[a]
-        current_v = float(values[best])
-    return Permutation._wrap(current), current_v
+    rows, values = swap_descent(
+        lambda rows, _: np.asarray(neighbourhood(rows[0]), dtype=np.float64)[None, :],
+        start.values[None, :], [float(objective(start))], max_steps,
+    )
+    return Permutation._wrap(rows[0]), float(values[0])
+
+
+def _starts(d: int, restarts: int, rng: np.random.Generator) -> list[Permutation]:
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    return [random_permutation(d, rng) for _ in range(restarts)]
 
 
 def multi_restart_candidates(
@@ -97,48 +126,14 @@ def multi_restart_candidates(
     rng: np.random.Generator,
     neighbourhood: Neighbourhood | None = None,
 ) -> list[tuple[Permutation, float]]:
-    """Local-search results from ``restarts`` uniform starts, in restart order."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    starts = [random_permutation(d, rng) for _ in range(restarts)]
+    """``local_search`` from ``restarts`` uniform starts; every result, best first (stable)."""
     steps = max_steps(d)
-    return [local_search(objective, s, steps, neighbourhood) for s in starts]
+    results = [local_search(objective, s, steps, neighbourhood) for s in _starts(d, restarts, rng)]
+    return sorted(results, key=lambda r: r[1])
 
 
-
-# --- QAP solve used by Thompson sampling -----------------------------------
-#
-# Minimize Tr(W P A P^T) over permutation matrices by the delta-evaluated
-# 2-swap descent below, run from every restart at once. The exhaustive
-# solve is the oracle the tests hold it to.
-
-
-def ts_swap_descent(
-    W: np.ndarray, starts: np.ndarray, max_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-improvement 2-swap descent on the TS trace from each row of ``starts``.
-
-    Takes the walk ``local_search`` takes on the full trace objective:
-    neighbours in pair order, the first best one, a move only while it
-    strictly lowers the trace, at most ``max_steps`` moves per row. All
-    rows step together, each neighbourhood scored at once by
-    ``accel.ts_swap_deltas``. ``W`` is the strictly upper-triangular QAP
-    weight matrix. Returns the final rows and their traces.
-    """
-    g = W - W.T
-    iu, ju = accel.pair_indices(starts.shape[1])
-    current = np.array(starts, dtype=np.int64)
-    active = np.arange(current.shape[0])
-    for _ in range(max_steps):
-        deltas = accel.ts_swap_deltas(g, current[active])
-        best = np.argmin(deltas, axis=1)
-        improving = deltas[np.arange(active.shape[0]), best] < 0.0
-        active, best = active[improving], best[improving]
-        if active.shape[0] == 0:
-            break
-        a, b = iu[best], ju[best]
-        current[active, a], current[active, b] = current[active, b], current[active, a]
-    return current, accel.ts_trace_batch(W, current)
+# --- QAP solve used by Thompson sampling: minimize Tr(W P A P^T) over permutation
+# matrices by ``swap_descent``; the exhaustive solve is the oracle for the tests.
 
 
 def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
@@ -150,11 +145,15 @@ def solve_qap_exhaustive(q: QapMatrices) -> tuple[Permutation, float]:
 def solve_ts_qap_candidates(
     q: QapMatrices, restarts: int, rng: np.random.Generator
 ) -> list[tuple[Permutation, float]]:
-    """Minimize the Thompson-sampling trace objective; every restart's result, best first."""
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    """Minimize the Thompson-sampling trace; every restart's result, best first (stable)."""
     d = q.W.shape[0]
-    starts = np.stack([random_permutation(d, rng).values for _ in range(restarts)])
-    finals, values = ts_swap_descent(np.ascontiguousarray(q.W), starts, max_steps(d))
+    starts = np.stack([p.values for p in _starts(d, restarts, rng)])
+    g = q.W - q.W.T
+    # The walk carries the trace change since each start; the full trace values the results.
+    finals, _ = swap_descent(
+        lambda rows, v: v[:, None] + accel.ts_swap_deltas(g, rows),
+        starts, np.zeros(restarts), max_steps(d),
+    )
+    values = accel.ts_trace_batch(q.W, finals)
     results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
     return sorted(results, key=lambda r: r[1])

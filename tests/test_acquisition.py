@@ -24,7 +24,7 @@ ROW = np.arange(5)[None, :]
 
 
 def _stub_predict(mean, var):
-    def fake(model, queries, include_noise=False):
+    def fake(model, queries):
         k = np.atleast_2d(queries).shape[0]
         return np.full(k, mean), np.full(k, var), np.zeros(k, dtype=bool)
 

@@ -174,6 +174,20 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, qap_file, command):
     assert list(tmp_path.iterdir()) == [qap_file]
 
 
+def test_dimension_too_large_for_memory_is_one_error_line(tmp_path):
+    # d = 2897 is the smallest d whose C(d,2) x C(d,2) float64 weight
+    # covariance (bops-t) exceeds 2**47 bytes, the x86-64 user address
+    # space, so the allocation fails at once whatever the machine's memory.
+    out = _python_m_permbo(
+        "run", "--benchmark", "synthetic:d=2897", "--algo", "bops-t", "--iters", "1",
+        "--init", "1", "--reps", "1", "--out", str(tmp_path / "r"),
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: Unable to allocate"), out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
+    assert out.stdout == ""
+
+
 def test_huge_mallows_lengthscale_prints_nothing_on_stderr(tmp_path):
     out = _python_m_permbo(
         "nll", "--benchmark", "gpdraw:d=3,l=1e308", "--train-sizes", "5", "--reps", "1",
@@ -465,6 +479,31 @@ class TestCmdNll:
         for row in rows:
             assert math.isfinite(float(row[3]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_gpdraw_noise_scores_finite(self, tmp_path):
+        out = tmp_path / "res"
+        rc = main([
+            "nll", "--benchmark", "gpdraw:d=4,noise=1e200", "--train-sizes", "20",
+            "--reps", "1", "--test-sets", "2", "--test-size", "5", "--out", str(out),
+        ])
+        assert rc == 0
+        _, rows = read_csv(out / "nll.csv")
+        assert len(rows) == 2
+        for row in rows:
+            assert math.isfinite(float(row[3]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("uri", ["gpdraw:d=4,noise=1e308", "synthetic:d=4,noise=1e308"])
+    def test_overflowing_noise_is_one_error_line(self, tmp_path, capsys, uri):
+        rc = main([
+            "nll", "--benchmark", uri, "--train-sizes", "20", "--reps", "1",
+            "--test-sets", "2", "--test-size", "5", "--out", str(tmp_path / "r"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: benchmark {uri!r} drew a non-finite value (lower its noise option)\n"
+
     def test_works_on_pointwise_benchmark(self):
         rows = nll_experiment(
             "synthetic:d=5,noise=0.3", train_sizes=[12], reps=2, seed=1,
@@ -575,6 +614,18 @@ class TestCmdSolveQap:
         main(["solve-qap", str(qap5_file), "--exact"])
         exact = float(capsys.readouterr().out.split()[1])
         assert exact <= heur
+
+    @pytest.mark.parametrize("seed, line", [
+        (0, "4,14,8,11,0,2,1,10,13,3,7,6,9,5,12 2228.0"),
+        (1, "4,0,2,11,14,9,8,6,1,3,12,7,5,13,10 2222.0"),
+    ])
+    def test_bundled_qap15_output_is_pinned(self, tmp_path, capsys, seed, line):
+        # The best restart, first among equals. Pinned, so that a change to
+        # the descent or the restart driver that moves the pick shows here.
+        qap = tmp_path / "q15.dat"
+        qap.write_text(bundled_instance_text("qap15.dat"))
+        assert main(["solve-qap", str(qap), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_missing_file_exits_1(self):
         assert main(["solve-qap", "/does/not/exist.dat"]) == 1

@@ -352,6 +352,20 @@ class TestTestNll:
         got = predictive_nll(m, [far], [0.0])
         assert got == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+    def test_scaled_observations_shift_by_log_scale(self, scale):
+        # Scoring in standardized units keeps extreme but finite data
+        # finite: scaling every observation by c adds log(c) to the score.
+        rng = np.random.default_rng(12)
+        xs, ys = _dataset(rng, 5, 30)
+        test_xs, test_ys = xs[20:], np.asarray(ys[20:])
+        m = fit(KernelSpec("mallows"), xs[:20], ys[:20])
+        m_scaled = fit(KernelSpec("mallows"), xs[:20], scale * np.asarray(ys[:20]))
+        want = predictive_nll(m, test_xs, test_ys) + math.log(scale)
+        got = predictive_nll(m_scaled, test_xs, scale * test_ys)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
     def test_sharp_correct_predictions_score_negative(self):
         rng = np.random.default_rng(9)
         xs = [random_permutation(6, rng) for _ in range(15)]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from permbo.accel import ts_swap_deltas, ts_trace_batch
 from permbo.acquisition import build_qap
 from permbo.optimizers import (
     brute_force_argmin,
@@ -12,7 +13,7 @@ from permbo.optimizers import (
     multi_restart_candidates,
     solve_qap_exhaustive,
     solve_ts_qap_candidates,
-    ts_swap_descent,
+    swap_descent,
 )
 from permbo.perm import (
     Permutation,
@@ -191,13 +192,17 @@ class TestMultiRestart:
         r2 = best_of_restarts(objective, 6, 4, np.random.default_rng(5))
         assert r1[0] == r2[0] and r1[1] == r2[1]
 
-    def test_candidates_in_restart_order(self):
-        objective, _ = random_qap_objective(5, np.random.default_rng(13))
-        cands = multi_restart_candidates(objective, 5, 6, np.random.default_rng(6))
-        assert len(cands) == 6
+    def test_candidates_best_first_in_restart_order_among_ties(self):
+        # Capped at 3, the distance objective strands far starts on a
+        # plateau, so restarts end on 0 or 3 and tie within each.
+        target = random_permutation(5, np.random.default_rng(13))
+        objective = lambda p: min(discordant_pairs(p, target), 3.0)  # noqa: E731
+        cands = multi_restart_candidates(objective, 5, 12, np.random.default_rng(6))
         rng = np.random.default_rng(6)
-        starts = [random_permutation(5, rng) for _ in range(6)]
-        assert cands == [local_search(objective, s, max_steps(5)) for s in starts]
+        starts = [random_permutation(5, rng) for _ in range(12)]
+        results = [local_search(objective, s, max_steps(5)) for s in starts]
+        assert sorted({v for _, v in results}) == [0.0, 3.0]
+        assert cands == [r for v in (0.0, 3.0) for r in results if r[1] == v]
 
 
 def solve_ts_qap(q, restarts, rng):
@@ -249,10 +254,30 @@ class TestSolveTsQap:
         assert [v for _, v in cands] == sorted(v for _, v in cands)
 
 
+def ts_walk(W, starts, max_steps):
+    """The bops-t walk: traces relative to each start, scored by swap deltas."""
+    g = W - W.T
+    scores = lambda rows, v: v[:, None] + ts_swap_deltas(g, rows)  # noqa: E731
+    finals, _ = swap_descent(scores, starts, np.zeros(len(starts)), max_steps)
+    return finals, ts_trace_batch(W, finals)
+
+
+def distance_neighbourhood(target):
+    """Batch scorer of the pair-count distance to ``target``, from built neighbour rows."""
+    def scores(rows, _):
+        return np.array([
+            [discordant_pairs(Permutation(list(n)), target) for n in swap_neighbor_matrix(r)]
+            for r in rows
+        ], dtype=np.float64)
+
+    return scores
+
+
 class TestTsSwapDescent:
     def test_walks_like_local_search_on_the_full_trace(self):
-        # The delta-evaluated descent must take the generic search's walk
-        # step for step, so both end on the same permutation.
+        # The walk scored by trace deltas must take the walk scored by the
+        # full trace objective step for step, so both end on the same
+        # permutation.
         rng = np.random.default_rng(18)
         for trial in range(300):
             d = 3 + trial % 13
@@ -260,7 +285,7 @@ class TestTsSwapDescent:
             start = random_permutation(d, rng)
             max_steps = 10 * num_pairs(d)
             want, want_v = local_search(objective, start, max_steps)
-            finals, values = ts_swap_descent(q.W, start.values[None, :], max_steps)
+            finals, values = ts_walk(q.W, start.values[None, :], max_steps)
             assert Permutation(list(finals[0])) == want
             assert values[0] == pytest.approx(want_v, abs=1e-10)
 
@@ -270,12 +295,35 @@ class TestTsSwapDescent:
         objective, q = random_qap_objective(d, rng)
         starts = np.stack([random_permutation(d, rng).values for _ in range(8)])
         for max_steps in (0, 1, 3, 1000):
-            finals, values = ts_swap_descent(q.W, starts, max_steps)
+            finals, values = ts_walk(q.W, starts, max_steps)
             for start, final, v in zip(starts, finals, values):
                 want, want_v = local_search(objective, Permutation(list(start)), max_steps)
                 assert Permutation(list(final)) == want
                 assert v == pytest.approx(want_v, abs=1e-10)
-        np.testing.assert_array_equal(ts_swap_descent(q.W, starts, 0)[0], starts)
+        np.testing.assert_array_equal(ts_walk(q.W, starts, 0)[0], starts)
         # A flat objective has no strictly improving move anywhere.
-        flat, _ = ts_swap_descent(np.zeros((d, d)), starts, 1)
+        flat, _ = ts_walk(np.zeros((d, d)), starts, 1)
         np.testing.assert_array_equal(flat, starts)
+
+
+class TestSwapDescent:
+    def test_nan_neighbour_stops_its_row(self):
+        rng = np.random.default_rng(20)
+        d = 6
+        target = random_permutation(d, rng)
+        distance = distance_neighbourhood(target)
+        starts = np.stack([random_permutation(d, rng).values for _ in range(3)])
+        starts[1] = target.values[::-1]  # far from the target, so it would move
+        values = np.array([float(discordant_pairs(Permutation(list(s)), target)) for s in starts])
+
+        def scores(rows, v):
+            out = distance(rows, v)
+            out[np.all(rows == starts[1], axis=1), -1] = np.nan  # the last pair, after the best one
+            return out
+
+        finals, finals_v = swap_descent(scores, starts, values, 1000)
+        np.testing.assert_array_equal(finals[1], starts[1])
+        assert finals_v[1] == values[1]
+        for r in (0, 2):
+            np.testing.assert_array_equal(finals[r], target.values)
+            assert finals_v[r] == 0.0
