@@ -79,19 +79,20 @@ def ts_trace_batch(w_upper: np.ndarray, perms: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _swap_rows(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Rows a*d + b, b*d + a, a*d + a and b*d + b of a (d * d, n) stack,
-    # for every pair (a, b) of ``pair_indices(d)``.
+    # Entries a*d + b, b*d + a, a*d + a and b*d + b of a row-major d x d
+    # matrix, for every pair (a, b) of ``pair_indices(d)``.
     iu, ju = pair_indices(d)
     return iu * d + ju, ju * d + iu, iu * (d + 1), ju * (d + 1)
 
 
-def _swap_deltas(stack: np.ndarray, d: int) -> np.ndarray:
+def _swap_deltas(m: np.ndarray, d: int) -> np.ndarray:
     """M[a, b] + M[b, a] - M[a, a] - M[b, b] for each pair (a, b) of ``pair_indices(d)``,
-    one row per pair, for each column of ``stack``: a row-major d x d matrix M."""
+    where axis 1 of ``m`` runs over the entries of a row-major d x d matrix M."""
     ab, ba, aa, bb = _swap_rows(d)
-    out = stack[ab] + stack[ba]
-    out -= stack[aa]
-    out -= stack[bb]
+    out = m.take(ab, axis=1)
+    out += m.take(ba, axis=1)
+    out -= m.take(aa, axis=1)
+    out -= m.take(bb, axis=1)
     return out
 
 
@@ -106,36 +107,41 @@ def ts_swap_deltas(g: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """
     r, d = perms.shape
     s_t = np.sign(perms[:, None, :] - perms[:, :, None]).astype(np.float64)
-    m = g @ s_t
-    return _swap_deltas(m.reshape(r, d * d).T, d).T
+    return _swap_deltas((g @ s_t).reshape(r, d * d), d)
 
 
 def sign_stack(x: np.ndarray) -> np.ndarray:
-    """(d, d * n) float64 signs of the n rows of ``x``: [c, a * n + k] = sign(x[k, c] - x[k, a])."""
+    """(d, d * n) float32 signs of the n rows of ``x``: [c, a * n + k] = sign(x[k, c] - x[k, a])."""
     xt = x.T
-    return np.sign(xt[:, None, :] - xt[None, :, :]).astype(np.float64).reshape(x.shape[1], -1)
+    return np.sign(xt[:, None, :] - xt[None, :, :]).astype(np.float32).reshape(x.shape[1], -1)
 
 
-def swap_discordances(signs: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """(n, C(d,2)) discordant-pair counts of n rows x against every 2-swap of ``perm``.
+def swap_discordances(signs: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """(A, C(d,2), n) discordant-pair counts of n rows x against every 2-swap of each
+    row of the (A, d) ``perms``.
 
-    ``signs`` is ``sign_stack(x)``. For each row x, let
+    ``signs`` is ``sign_stack(x)``. For a row perm and each row x, let
     P[b, a] = sum_c sign(perm(b) - perm(c)) * sign(x(c) - x(a)). Then
     n_d(perm, x) = C(d,2)/2 + tr(P)/4, and swapping positions a and b of
     ``perm`` changes it by (P[a, b] + P[b, a] - P[a, a] - P[b, b]) / 2.
     This is ``ts_swap_deltas`` with weights G[a, c] = sign(x(c) - x(a)),
-    whose TS trace is 2 n_d - C(d,2), and P the transpose of its M. All
-    n matrices P are one (d, d) @ (d, d * n) product, and every
-    intermediate is an exact small integer or half-integer in float64.
-    Column k is the neighbour that swaps the k-th pair of
-    ``pair_indices``; the result is C-contiguous.
+    whose TS trace is 2 n_d - C(d,2), and P the transpose of its M. The
+    P of every perm and every x are one (A * d, d) @ (d, d * n) product.
+    Its entries are integers of magnitude at most d, and every
+    intermediate is a multiple of 1/4 of magnitude at most d * d, so
+    float32 is exact for d < 4096.
+    The gathers run along the d * d axis, so the walkers stay the leading
+    axis without a transpose copy. Entry [r, k, i] is row i of x against
+    row r of ``perms`` with the k-th pair of ``pair_indices`` swapped; the
+    result is C-contiguous.
     """
-    d = perm.shape[0]
-    p = (np.sign(perm[:, None] - perm[None, :]).astype(np.float64) @ signs).reshape(d * d, -1)
+    a, d = perms.shape
+    s = np.sign(perms[:, :, None] - perms[:, None, :]).astype(np.float32)
+    p = (s.reshape(a * d, d) @ signs).reshape(a, d * d, -1)
     out = _swap_deltas(p, d)
     out *= 0.5
-    out += 0.25 * p[:: d + 1].sum(axis=0) + 0.5 * (d * (d - 1) // 2)
-    return out.T.astype(np.int64, order="C")
+    out += 0.25 * p[:, :: d + 1].sum(axis=1, keepdims=True) + 0.5 * (d * (d - 1) // 2)
+    return out.astype(np.int64)
 
 
 def qap_cost(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> float:

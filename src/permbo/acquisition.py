@@ -1,8 +1,8 @@
 """Acquisition functions: expected improvement and the Thompson-sampling QAP.
 
 Expected improvement is scored either at given rows or, for the bops-h
-local search, at the whole 2-swap neighbourhood of one row at once
-(``swap_neighbour_ei``), from the two prediction routes of ``gp``. Both
+local search, at the whole 2-swap neighbourhoods of a batch of rows at
+once (``swap_neighbour_ei``), from the two prediction routes of ``gp``. Both
 share one definition (``_ei``), in which training points score zero:
 re-querying an evaluated point of a deterministic objective improves
 nothing.
@@ -53,13 +53,15 @@ def expected_improvement_batch(
     return _ei(*predict_batch(m, queries), incumbent, m.y_std)
 
 
-def swap_neighbour_ei(m: GpModel, values: np.ndarray, incumbent: float) -> np.ndarray:
-    """EI at all C(d,2) 2-swap neighbours of ``values``, in pair order.
+def swap_neighbour_ei(m: GpModel, perms: np.ndarray, incumbent: float) -> np.ndarray:
+    """(A, C(d,2)) EI at all 2-swap neighbours of each row of the (A, d) ``perms``,
+    pairs in order.
 
-    Bit-identical to ``expected_improvement_batch`` on
-    ``swap_neighbor_matrix(values)``.
+    Row r is bit-identical to ``expected_improvement_batch`` on
+    ``swap_neighbor_matrix(perms[r])`` for d >= 3; at d = 2 the variances
+    behind it can differ in their last bits (``gp._standardized_moments``).
     """
-    return _ei(*predict_swap_neighbours(m, values), incumbent, m.y_std)
+    return _ei(*predict_swap_neighbours(m, perms), incumbent, m.y_std)
 
 
 def _ei(

@@ -173,8 +173,8 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
         def neg_ei(p: Permutation) -> float:
             return -expected_improvement_batch(model, p.values[None, :], incumbent)[0]
 
-        def neg_ei_neighbourhood(values: np.ndarray) -> np.ndarray:
-            return -swap_neighbour_ei(model, values, incumbent)
+        def neg_ei_neighbourhood(rows: np.ndarray) -> np.ndarray:
+            return -swap_neighbour_ei(model, rows, incumbent)
 
         candidates = multi_restart_candidates(
             neg_ei, run.cfg.d, run.cfg.restarts, rng, neg_ei_neighbourhood

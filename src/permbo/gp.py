@@ -22,11 +22,14 @@ Both kernels are functions of the discordant-pair count n_d alone, so
 the fit and the predictions read every kernel value from one table over
 n_d = 0..C(d,2): the fit gathers its Gram matrices from it, and the
 fitted model keeps the chosen one (``GpModel.kernel_table``). Every
-prediction goes through ``_standardized_moments`` from the (n, q)
-discordances to the training rows: ``predict_batch`` counts them against
-given rows, ``predict_swap_neighbours`` gets them (the same bits) for a
-row's 2-swap neighbourhood from swap deltas against the training sign
-matrices, and ``test_nll`` scores held-out data in standardized units.
+prediction reads the table at the (A, q, n) discordances of A blocks of
+q queries to the n training rows and goes through
+``_standardized_moments``: ``predict_batch`` counts the discordances
+against given rows (one block),
+``predict_swap_neighbours`` gets them for the 2-swap neighbourhoods of A
+rows at once (a block per row, each with the bits of that row alone)
+from swap deltas against the training sign stack, and ``test_nll``
+scores held-out data in standardized units.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ from .perm import Permutation, kendall_feature_matrix, num_pairs
 SIGNAL_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 LENGTHSCALE_GRID = tuple(np.logspace(-2.0, 1.0, 16))
+
+#: Most (row, neighbour, training row) entries one 2-swap neighbourhood scan
+#: holds; ``predict_swap_neighbours`` scans larger batches a slice of rows at a time.
+SCAN_ENTRIES = 1 << 20
 
 #: Cholesky jitter escalates tenfold up to this multiple of the signal variance.
 MAX_JITTER = 1e-2
@@ -267,55 +274,78 @@ def predict_batch(
 
     Raw-unit means and latent-function variances (clamped at zero).
     """
-    return _moments(m, _query_discordances(m, queries))
+    means, variances, evaluated = _moments(m, _query_discordances(m, queries))
+    return means[0], variances[0], evaluated[0]
 
 
 def predict_swap_neighbours(
-    m: GpModel, values: np.ndarray
+    m: GpModel, perms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``predict_batch`` at all C(d,2) 2-swap neighbours of ``values``, in pair order.
+    """``predict_batch`` at all C(d,2) 2-swap neighbours of each row of the (A, d)
+    ``perms``, as (A, C(d,2)) arrays with pairs in order.
 
-    Gives the same bits as ``predict_batch`` on
-    ``swap_neighbor_matrix(values)`` without building those rows: the
-    discordances come from swap deltas against the training sign
-    matrices (``accel.swap_discordances``).
+    Row r gives the same bits as ``predict_batch`` on
+    ``swap_neighbor_matrix(perms[r])`` (for d >= 3; see
+    ``_standardized_moments``) without building those rows: the
+    discordances come from swap deltas against the training sign stack
+    (``accel.swap_discordances``). A scan's arrays grow as A * C(d,2) * n,
+    so rows are scanned ``SCAN_ENTRIES // (C(d,2) * n)`` at a time; for
+    d >= 3 that changes no bits.
     """
-    return _moments(m, accel.swap_discordances(m.sign_stack, values))
+    rows = max(1, SCAN_ENTRIES // (num_pairs(m.d) * m.n))
+    parts = [
+        _moments(m, accel.swap_discordances(m.sign_stack, perms[i : i + rows]))
+        for i in range(0, len(perms), rows)
+    ]
+    means, variances, evaluated = (np.concatenate(arrays) for arrays in zip(*parts))
+    return means, variances, evaluated
 
 
 def _query_discordances(m: GpModel, queries: Sequence[Permutation] | np.ndarray) -> np.ndarray:
+    # (1, q, n): one block of q queries against the n training rows.
     if isinstance(queries, np.ndarray):
         q = np.atleast_2d(queries).astype(np.int64)
     else:
         q = stack_values(list(queries))
     if q.shape[1] != m.d:
         raise ValueError(f"dimension mismatch: {q.shape[1]} vs {m.d}")
-    return accel.cross_discordance_matrix(m.x_array, q)
+    return accel.cross_discordance_matrix(q, m.x_array)[None]
 
 
-def _standardized_moments(m: GpModel, nd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized posterior means and latent variances from the (n, q) discordances."""
-    # Both routes pass a C-ordered nd, so kstar is C-ordered too and the
-    # BLAS and LAPACK calls take the same path and round the same way.
-    kstar = m.kernel_table[nd]
-    mean_std = kstar.T @ m.alpha
-    # LAPACK trtrs, called as solve_triangular calls it on the fit's
-    # Fortran-ordered factor, without its input checks.
-    v, info = dtrtrs(m.chol, kstar, lower=1)
+def _standardized_moments(m: GpModel, kstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized posterior means and latent variances, (A, q), from the C-ordered
+    (A, q, n) prior covariances of A blocks of q queries with the n training rows.
+
+    ``kstar`` is overwritten."""
+    # Each block's mean is one GEMV over its C-ordered (n, q) block, which
+    # is the GEMV the block gets alone; a plain (A * q, n) GEMV would round
+    # differently. The variances are one triangular solve over all A * q
+    # columns, which rounds a column as the block's own solve would when
+    # q >= 2: LAPACK solves a single column (q = 1) by a vector routine.
+    blocks, q, n = kstar.shape
+    mean_std = np.matmul(np.ascontiguousarray(kstar.transpose(0, 2, 1)).transpose(0, 2, 1), m.alpha)
+    # Read as (n, A * q), kstar is F-ordered, so f2py hands it to LAPACK
+    # trtrs without a copy, as solve_triangular would call it on the
+    # fit's Fortran-ordered factor, without its input checks.
+    v, info = dtrtrs(m.chol, kstar.reshape(blocks * q, n).T, lower=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
-    var_std = m.spec.signal_variance - np.sum(v * v, axis=0)
-    return mean_std, np.maximum(var_std, 0.0)
+    v *= v
+    var_std = m.spec.signal_variance - np.sum(v, axis=0)
+    return mean_std, np.maximum(var_std, 0.0).reshape(blocks, q)
 
 
 def _moments(m: GpModel, nd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw-unit posterior means and variances from the (n, q) discordances,
-    and which queries are training points (discordance 0 to one of them)."""
-    mean_std, var_std = _standardized_moments(m, nd)
+    """Raw-unit posterior means and variances, (A, q), from the C-ordered (A, q, n)
+    discordances, and which queries are training points (discordance 0 to one of them)."""
+    evaluated = (nd == 0).any(axis=2)
+    kstar = m.kernel_table.take(nd)
+    del nd  # the largest arrays of a scan: free each as soon as it is spent
+    mean_std, var_std = _standardized_moments(m, kstar)
     # numpy's scalar power gives the bits of float ** 2, but overflows to
     # inf (with a warning) instead of raising at extreme objective scales.
     var_scale = np.float64(m.y_std) ** 2
-    return m.y_mean + m.y_std * mean_std, var_scale * var_std, (nd == 0).any(axis=0)
+    return m.y_mean + m.y_std * mean_std, var_scale * var_std, evaluated
 
 
 def predict(m: GpModel, p: Permutation) -> tuple[float, float]:
@@ -342,7 +372,8 @@ def test_nll(
     test_ys = np.asarray(test_ys, dtype=np.float64)
     if len(test_xs) == 0:
         raise ValueError("empty test set")
-    means, variances = _standardized_moments(m, _query_discordances(m, test_xs))
+    kstar = m.kernel_table.take(_query_discordances(m, test_xs))
+    means, variances = (a[0] for a in _standardized_moments(m, kstar))
     variances = variances + m.spec.noise_variance
     residuals = test_ys / m.y_std - m.y_mean / m.y_std - means
     nlls = 0.5 * (np.log(2.0 * np.pi * variances) + residuals**2 / variances)

@@ -2,10 +2,14 @@
 
 The exhaustive search is the correctness oracle for everything else. Both
 acquisitions are optimized by one deterministic walk, ``swap_descent``,
-from ``restarts`` uniform starts, with a scorer that values all C(d,2)
-swaps of a row at once: bops-h walks expected improvement one restart at
-a time (stacking restarts would change how BLAS rounds them), bops-t the
-Thompson-sampling trace from all restarts at once.
+which steps all ``restarts`` uniform starts in lockstep with a scorer that
+values all C(d,2) swaps of every walking row at once: bops-t the
+Thompson-sampling trace, bops-h expected improvement. Each row must score
+as it would alone. For EI the GP layer's layout keeps that bit for bit
+(``gp._standardized_moments``: one GEMV per row's C-ordered (n, C(d,2))
+block for the means, one triangular solve over the columns of the rows
+scanned together for the variances), except the last bits of the
+variances at d = 2, on which no pick depends.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .acquisition import QapMatrices
 from .perm import Permutation, num_pairs, random_permutation, swap_neighbor_matrix
 
 Objective = Callable[[Permutation], float]
-Neighbourhood = Callable[[np.ndarray], np.ndarray]  # (d,) row -> its 2-swap neighbours' values
+#: (A, d) rows -> (A, C(d,2)) values of their 2-swap neighbours, pairs in order.
+Neighbourhood = Callable[[np.ndarray], np.ndarray]
 
 #: Largest dimension the exhaustive search will accept (9! = 362880 evaluations).
 BRUTE_FORCE_MAX_D = 9
@@ -93,24 +98,33 @@ def swap_descent(
     return final_rows, final_values
 
 
-def local_search(
+def _descend(
     objective: Objective,
-    start: Permutation,
+    starts: list[Permutation],
     max_steps: int,
-    neighbourhood: Neighbourhood | None = None,
-) -> tuple[Permutation, float]:
-    """Best-improvement 2-swap descent from ``start`` (``swap_descent`` on one row), valued
-    by ``objective``; ``neighbourhood``, if given, must agree with it and values all
-    neighbours at once, otherwise ``objective`` values each neighbour row."""
+    neighbourhood: Neighbourhood | None,
+) -> list[tuple[Permutation, float]]:
+    # One ``swap_descent`` call over all starts, each valued by ``objective``.
     if neighbourhood is None:
-        def neighbourhood(row: np.ndarray) -> np.ndarray:
-            return np.array([objective(Permutation._wrap(r)) for r in swap_neighbor_matrix(row)])
+        def neighbourhood(rows: np.ndarray) -> np.ndarray:
+            return np.array([
+                [objective(Permutation._wrap(r)) for r in swap_neighbor_matrix(row)] for row in rows
+            ], dtype=np.float64)
 
     rows, values = swap_descent(
-        lambda rows, _: np.asarray(neighbourhood(rows[0]), dtype=np.float64)[None, :],
-        start.values[None, :], [float(objective(start))], max_steps,
+        lambda rows, _: neighbourhood(rows),
+        np.stack([s.values for s in starts]), [float(objective(s)) for s in starts], max_steps,
     )
-    return Permutation._wrap(rows[0]), float(values[0])
+    return [(Permutation._wrap(p), float(v)) for p, v in zip(rows, values)]
+
+
+def local_search(
+    objective: Objective, start: Permutation, max_steps: int
+) -> tuple[Permutation, float]:
+    """Best-improvement 2-swap descent from ``start`` (``swap_descent`` on one row),
+    ``objective`` valuing each neighbour."""
+    [result] = _descend(objective, [start], max_steps, None)
+    return result
 
 
 def _starts(d: int, restarts: int, rng: np.random.Generator) -> list[Permutation]:
@@ -126,9 +140,9 @@ def multi_restart_candidates(
     rng: np.random.Generator,
     neighbourhood: Neighbourhood | None = None,
 ) -> list[tuple[Permutation, float]]:
-    """``local_search`` from ``restarts`` uniform starts; every result, best first (stable)."""
-    steps = max_steps(d)
-    results = [local_search(objective, s, steps, neighbourhood) for s in _starts(d, restarts, rng)]
+    """``local_search`` from ``restarts`` uniform starts, all in one ``swap_descent``
+    call; every result, best first (stable)."""
+    results = _descend(objective, _starts(d, restarts, rng), max_steps(d), neighbourhood)
     return sorted(results, key=lambda r: r[1])
 
 

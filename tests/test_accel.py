@@ -128,16 +128,17 @@ def test_kendall_feature_matrix_is_scaled_pair_signs(batch):
 @example(ONE_ROW_16 * 2)
 @settings(max_examples=40, deadline=None)  # the reference is O(d^4) per row
 def test_swap_discordances_match_reference(batch):
-    # Column k: every row of x against perm with the k-th pair swapped.
-    x, perm = batch[0], batch[1][0]
+    # Entry [r, k, i]: row i of x against perms[r] with the k-th pair swapped.
+    x, perms = batch
     d = x.shape[1]
-    got = accel.swap_discordances(accel.sign_stack(x), perm)
-    assert got.dtype == np.int64 and got.shape == (len(x), d * (d - 1) // 2)
+    got = accel.swap_discordances(accel.sign_stack(x), perms)
+    assert got.dtype == np.int64 and got.shape == (len(perms), d * (d - 1) // 2, len(x))
     assert got.flags.c_contiguous
-    for k, (a, b) in enumerate(zip(*accel.pair_indices(d))):
-        swapped = perm.copy()
-        swapped[a], swapped[b] = perm[b], perm[a]
-        assert list(got[:, k]) == [_ref_discordant(row, swapped) for row in x]
+    for r, perm in enumerate(perms):
+        for k, (a, b) in enumerate(zip(*accel.pair_indices(d))):
+            swapped = perm.copy()
+            swapped[a], swapped[b] = perm[b], perm[a]
+            assert list(got[r, k]) == [_ref_discordant(row, swapped) for row in x]
 
 
 def test_pair_indices_are_cached_read_only_triu_indices():

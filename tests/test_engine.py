@@ -176,18 +176,20 @@ def test_benchmark_call_signatures():
     ]
 
 
-def test_restarts_reach_local_search_through_its_module_global(monkeypatch):
-    caps = []
-    search = optimizers.local_search
+def test_bops_h_steps_all_restarts_in_one_swap_descent_per_iteration(monkeypatch):
+    # One lockstep descent per BO iteration, over ``restarts`` rows, reached
+    # through its module global at call time.
+    calls = []
+    descent = optimizers.swap_descent
 
-    def counting(objective, start, max_steps, neighbourhood=None):
-        caps.append(max_steps)
-        return search(objective, start, max_steps, neighbourhood)
+    def counting(neighbourhood, starts, values, max_steps):
+        calls.append((starts.shape, max_steps))
+        return descent(neighbourhood, starts, values, max_steps)
 
-    monkeypatch.setattr(optimizers, "local_search", counting)
+    monkeypatch.setattr(optimizers, "swap_descent", counting)
     _, objective = hidden_optimum_objective(4)
     run_algorithm(BoConfig(algorithm="bops-h", d=4, n_iters=2, n_init=3, restarts=3), objective)
-    assert caps == [optimizers.max_steps(4)] * 6
+    assert calls == [((3, 4), optimizers.max_steps(4))] * 2
 
 
 class TestBopsT:

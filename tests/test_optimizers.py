@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from permbo import optimizers
 from permbo.accel import ts_swap_deltas, ts_trace_batch
 from permbo.acquisition import build_qap
 from permbo.optimizers import (
@@ -150,14 +151,18 @@ class TestLocalSearch:
         iu, ju = np.triu_indices(6, 1)
         wv = q.W[iu, ju]
 
-        def neighbourhood(values):
-            rows = swap_neighbor_matrix(values)
-            return np.sign(rows[:, iu] - rows[:, ju]) @ wv
+        def neighbourhood(rows):
+            return np.stack(
+                [np.sign(n[:, iu] - n[:, ju]) @ wv for n in map(swap_neighbor_matrix, rows)]
+            )
 
-        start = random_permutation(6, rng)
-        p1, v1 = local_search(objective, start, max_steps=500)
-        p2, v2 = local_search(objective, start, max_steps=500, neighbourhood=neighbourhood)
-        assert p1 == p2 and v1 == pytest.approx(v2, abs=1e-12)
+        for seed in range(3):
+            by_rows = multi_restart_candidates(objective, 6, 5, np.random.default_rng(seed))
+            batched = multi_restart_candidates(
+                objective, 6, 5, np.random.default_rng(seed), neighbourhood
+            )
+            for (p1, v1), (p2, v2) in zip(by_rows, batched, strict=True):
+                assert p1 == p2 and v1 == pytest.approx(v2, abs=1e-12)
 
 
 class TestMultiRestart:
@@ -203,6 +208,45 @@ class TestMultiRestart:
         results = [local_search(objective, s, max_steps(5)) for s in starts]
         assert sorted({v for _, v in results}) == [0.0, 3.0]
         assert cands == [r for v in (0.0, 3.0) for r in results if r[1] == v]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["objective", "neighbourhood"])
+    @pytest.mark.parametrize("case", ["ties", "nan", "cap1"])
+    def test_one_descent_gives_the_restarts_searched_one_by_one(self, case, batched, monkeypatch):
+        # One lockstep descent over all restarts must give what local_search
+        # gives from each start on its own: the same rows and values, in the
+        # same best-first (stable) order. The capped distance ties restarts
+        # on its plateau; NaN at distance 5 stops every walk that meets it.
+        d, restarts = 6, 12
+        target = random_permutation(d, np.random.default_rng(21))
+
+        def objective(p):
+            n_d = float(discordant_pairs(p, target))
+            return {"ties": min(n_d, 4.0), "nan": math.nan if n_d == 5 else n_d}.get(case, n_d)
+
+        def neighbourhood(rows):
+            return np.array([
+                [objective(Permutation._wrap(n)) for n in swap_neighbor_matrix(r)] for r in rows
+            ])
+
+        steps = max_steps(d)
+        if case == "cap1":
+            monkeypatch.setattr(optimizers, "max_steps", lambda d: 1)
+            steps = 1
+        for seed in range(5):
+            got = multi_restart_candidates(
+                objective, d, restarts, np.random.default_rng(seed),
+                neighbourhood if batched else None,
+            )
+            rng = np.random.default_rng(seed)
+            starts = [random_permutation(d, rng) for _ in range(restarts)]
+            want = sorted((local_search(objective, s, steps) for s in starts), key=lambda r: r[1])
+            np.testing.assert_array_equal([p.values for p, _ in got], [p.values for p, _ in want])
+            np.testing.assert_array_equal([v for _, v in got], [v for _, v in want])
+            if case == "ties":
+                assert len({v for _, v in got}) < restarts
+            else:
+                # The distance has no local minima: only a NaN or the cap ends a walk above 0.
+                assert any(not v == 0.0 for _, v in got)
 
 
 def solve_ts_qap(q, restarts, rng):
