@@ -46,7 +46,7 @@ from .benchmarks import (
 from .engine import ALGORITHMS, BoConfig, run_algorithm
 from .gp import fit, sample_gp_prior, test_nll
 from .kernels import KENDALL, MALLOWS, KernelSpec
-from .optimizers import BRUTE_FORCE_MAX_D, brute_force_argmin, multi_restart_candidates
+from .optimizers import BRUTE_FORCE_MAX_D, brute_force_argmin, multi_restart_candidates, pointwise
 from .perm import Permutation, random_permutation
 
 RAW_HEADER = ["rep", "phase", "iter", "permutation", "value", "best_so_far", "seconds"]
@@ -390,7 +390,7 @@ def cmd_solve_qap(args: argparse.Namespace) -> int:
         best, value = brute_force_argmin(objective, inst.n)
     else:
         rng = np.random.default_rng(args.seed)
-        best, value = multi_restart_candidates(objective, inst.n, args.restarts, rng)[0]
+        best, value = multi_restart_candidates(*pointwise(objective), inst.n, args.restarts, rng)[0]
     if not math.isfinite(value):
         raise ValueError(f"objective returned {value!r} for permutation {best.serialize()}")
     print(f"{best.serialize()} {value!r}")

@@ -167,17 +167,12 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
     while True:
         model = fit(template, run.xs, run.ys)
         incumbent = min(run.ys)
-
         # The model is fitted on every evaluated point, so the points EI
         # scores zero as training points are exactly the evaluated ones.
-        def neg_ei(p: Permutation) -> float:
-            return -expected_improvement_batch(model, p.values[None, :], incumbent)[0]
-
-        def neg_ei_neighbourhood(rows: np.ndarray) -> np.ndarray:
-            return -swap_neighbour_ei(model, rows, incumbent)
-
         candidates = multi_restart_candidates(
-            neg_ei, run.cfg.d, run.cfg.restarts, rng, neg_ei_neighbourhood
+            lambda rows: -expected_improvement_batch(model, rows, incumbent),
+            lambda rows, _: -swap_neighbour_ei(model, rows, incumbent),
+            run.cfg.d, run.cfg.restarts, rng,
         )
         yield run.pick_unevaluated(candidates, rng)
 

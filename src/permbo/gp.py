@@ -114,9 +114,7 @@ class WeightPosterior:
     cov_factor: np.ndarray
 
 
-def _standardize(ys: np.ndarray, standardize: bool) -> tuple[float, float, np.ndarray]:
-    if not standardize:
-        return 0.0, 1.0, ys.astype(np.float64)
+def _standardize(ys: np.ndarray) -> tuple[float, float, np.ndarray]:
     # Dividing by the power of two of max|y| first is exact, so the
     # standardized values, and the test against 1e-12, do not depend on
     # the scale of the objective, and np.std cannot overflow.
@@ -204,7 +202,6 @@ def fit(
     ys: Sequence[float],
     *,
     optimize: bool = True,
-    standardize: bool = True,
 ) -> GpModel:
     """Fit a GP to (xs, ys) with the kernel family of ``spec_template``.
 
@@ -225,7 +222,7 @@ def fit(
         raise ValueError(f"need >= 1 observation with matching lengths, got {len(xs)} / {ys.shape[0]}")
     x_array = stack_values(xs)
     d = x_array.shape[1]
-    y_mean, y_std, y_tilde = _standardize(ys, standardize)
+    y_mean, y_std, y_tilde = _standardize(ys)
 
     nd = accel.discordance_matrix(x_array)
     counts = np.arange(num_pairs(d) + 1)

@@ -32,7 +32,7 @@ class KernelSpec:
     """Kernel family plus hyperparameters.
 
     lengthscale is only meaningful for the Mallows family; signal and
-    noise variances must be strictly positive.
+    noise variances must be strictly positive. All three must be finite.
     """
 
     family: str
@@ -43,12 +43,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (KENDALL, MALLOWS):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.lengthscale < 0:
-            raise ValueError("lengthscale must be >= 0")
-        if self.signal_variance <= 0:
-            raise ValueError("signal_variance must be > 0")
-        if self.noise_variance <= 0:
-            raise ValueError("noise_variance must be > 0")
+        # Written so that NaN fails too: it compares false with everything.
+        if not 0 <= self.lengthscale < np.inf:
+            raise ValueError(f"lengthscale must be finite and >= 0, got {self.lengthscale!r}")
+        if not 0 < self.signal_variance < np.inf:
+            raise ValueError(f"signal_variance must be finite and > 0, got {self.signal_variance!r}")
+        if not 0 < self.noise_variance < np.inf:
+            raise ValueError(f"noise_variance must be finite and > 0, got {self.noise_variance!r}")
 
 
 def kendall_kernel(a: Permutation, b: Permutation) -> float:

@@ -1,15 +1,16 @@
 """Optimizers over S_d: exhaustive oracle and restarted 2-swap descent.
 
-The exhaustive search is the correctness oracle for everything else. Both
-acquisitions are optimized by one deterministic walk, ``swap_descent``,
-which steps all ``restarts`` uniform starts in lockstep with a scorer that
-values all C(d,2) swaps of every walking row at once: bops-t the
-Thompson-sampling trace, bops-h expected improvement. Each row must score
-as it would alone. For EI the GP layer's layout keeps that bit for bit
-(``gp._standardized_moments``: one GEMV per row's C-ordered (n, C(d,2))
-block for the means, one triangular solve over the columns of the rows
-scanned together for the variances), except the last bits of the
-variances at d = 2, on which no pick depends.
+The exhaustive search is the correctness oracle for everything else. Every
+2-swap search goes through one restart driver, ``multi_restart_candidates``:
+one ``values`` call over all uniform starts, then one ``swap_descent`` that
+steps them in lockstep, its ``neighbourhood`` scorer valuing all C(d,2)
+swaps of every walking row at once: bops-t the Thompson-sampling trace,
+bops-h expected improvement, ``pointwise`` any one-permutation objective.
+Each row must score as it would alone. For EI the GP layer's layout keeps
+that bit for bit (``gp._standardized_moments``: one GEMV per row's
+C-ordered (n, C(d,2)) block for the means, one triangular solve over the
+columns of the rows scanned together for the variances), except the last
+bits of the variances at d = 2, on which no pick depends.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from .acquisition import QapMatrices
 from .perm import Permutation, num_pairs, random_permutation, swap_neighbor_matrix
 
 Objective = Callable[[Permutation], float]
-#: (A, d) rows -> (A, C(d,2)) values of their 2-swap neighbours, pairs in order.
-Neighbourhood = Callable[[np.ndarray], np.ndarray]
+#: (A, d) rows -> their (A,) values.
+Values = Callable[[np.ndarray], np.ndarray]
+#: (A, d) rows, their (A,) carried values -> (A, C(d,2)) neighbour values, pairs in order.
+Neighbourhood = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Largest dimension the exhaustive search will accept (9! = 362880 evaluations).
 BRUTE_FORCE_MAX_D = 9
@@ -61,7 +64,7 @@ def _swap_orders(d: int) -> np.ndarray:
 
 
 def swap_descent(
-    neighbourhood: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    neighbourhood: Neighbourhood,
     starts: np.ndarray,
     values: np.ndarray,
     max_steps: int,
@@ -98,24 +101,17 @@ def swap_descent(
     return final_rows, final_values
 
 
-def _descend(
-    objective: Objective,
-    starts: list[Permutation],
-    max_steps: int,
-    neighbourhood: Neighbourhood | None,
-) -> list[tuple[Permutation, float]]:
-    # One ``swap_descent`` call over all starts, each valued by ``objective``.
-    if neighbourhood is None:
-        def neighbourhood(rows: np.ndarray) -> np.ndarray:
-            return np.array([
-                [objective(Permutation._wrap(r)) for r in swap_neighbor_matrix(row)] for row in rows
-            ], dtype=np.float64)
+def pointwise(objective: Objective) -> tuple[Values, Neighbourhood]:
+    """The ``values`` and ``neighbourhood`` of ``multi_restart_candidates`` for
+    an ``objective`` of one permutation, called once per row and neighbour."""
 
-    rows, values = swap_descent(
-        lambda rows, _: neighbourhood(rows),
-        np.stack([s.values for s in starts]), [float(objective(s)) for s in starts], max_steps,
-    )
-    return [(Permutation._wrap(p), float(v)) for p, v in zip(rows, values)]
+    def values(rows: np.ndarray) -> np.ndarray:
+        return np.array([objective(Permutation._wrap(r)) for r in rows], dtype=np.float64)
+
+    def neighbourhood(rows: np.ndarray, _: np.ndarray) -> np.ndarray:
+        return np.stack([values(swap_neighbor_matrix(row)) for row in rows])
+
+    return values, neighbourhood
 
 
 def local_search(
@@ -123,26 +119,27 @@ def local_search(
 ) -> tuple[Permutation, float]:
     """Best-improvement 2-swap descent from ``start`` (``swap_descent`` on one row),
     ``objective`` valuing each neighbour."""
-    [result] = _descend(objective, [start], max_steps, None)
-    return result
-
-
-def _starts(d: int, restarts: int, rng: np.random.Generator) -> list[Permutation]:
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    return [random_permutation(d, rng) for _ in range(restarts)]
+    values, neighbourhood = pointwise(objective)
+    rows = start.values[None, :]
+    [p], [v] = swap_descent(neighbourhood, rows, values(rows), max_steps)
+    return Permutation._wrap(p), float(v)
 
 
 def multi_restart_candidates(
-    objective: Objective,
+    values: Values,
+    neighbourhood: Neighbourhood,
     d: int,
     restarts: int,
     rng: np.random.Generator,
-    neighbourhood: Neighbourhood | None = None,
 ) -> list[tuple[Permutation, float]]:
-    """``local_search`` from ``restarts`` uniform starts, all in one ``swap_descent``
-    call; every result, best first (stable)."""
-    results = _descend(objective, _starts(d, restarts, rng), max_steps(d), neighbourhood)
+    """2-swap descent from ``restarts`` uniform starts, valued by one ``values`` call
+    and walked by one ``swap_descent`` scored by ``neighbourhood``; every result,
+    best first (stable). ``pointwise`` adapts a one-permutation objective."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    starts = np.stack([random_permutation(d, rng).values for _ in range(restarts)])
+    rows, finals = swap_descent(neighbourhood, starts, values(starts), max_steps(d))
+    results = [(Permutation._wrap(p), float(v)) for p, v in zip(rows, finals)]
     return sorted(results, key=lambda r: r[1])
 
 
@@ -160,14 +157,10 @@ def solve_ts_qap_candidates(
     q: QapMatrices, restarts: int, rng: np.random.Generator
 ) -> list[tuple[Permutation, float]]:
     """Minimize the Thompson-sampling trace; every restart's result, best first (stable)."""
-    d = q.W.shape[0]
-    starts = np.stack([p.values for p in _starts(d, restarts, rng)])
+    # Each walk carries its start's full trace, moved by the trace change of each swap.
     g = q.W - q.W.T
-    # The walk carries the trace change since each start; the full trace values the results.
-    finals, _ = swap_descent(
+    return multi_restart_candidates(
+        lambda rows: accel.ts_trace_batch(q.W, rows),
         lambda rows, v: v[:, None] + accel.ts_swap_deltas(g, rows),
-        starts, np.zeros(restarts), max_steps(d),
+        q.W.shape[0], restarts, rng,
     )
-    values = accel.ts_trace_batch(q.W, finals)
-    results = [(Permutation._wrap(p), float(v)) for p, v in zip(finals, values)]
-    return sorted(results, key=lambda r: r[1])

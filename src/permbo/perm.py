@@ -21,13 +21,18 @@ class Permutation:
     ----------
     mapping : sequence of int
         Values pi(0), ..., pi(d-1). Must be a rearrangement of 0..d-1
-        with d >= 2.
+        with d >= 2; floats are accepted only where integral.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, mapping: Sequence[int]):
-        values = np.asarray(mapping, dtype=np.int64)
+        raw = np.asarray(mapping)
+        if raw.dtype.kind not in "biu" and not (
+            raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (np.trunc(raw) == raw))
+        ):
+            raise ValueError(f"permutation entries must be integers, got {mapping!r}")
+        values = raw.astype(np.int64)
         if values.ndim != 1 or values.shape[0] < 2:
             raise ValueError(f"permutation needs at least 2 entries, got {values!r}")
         d = values.shape[0]

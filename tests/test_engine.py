@@ -178,18 +178,26 @@ def test_benchmark_call_signatures():
 
 def test_bops_h_steps_all_restarts_in_one_swap_descent_per_iteration(monkeypatch):
     # One lockstep descent per BO iteration, over ``restarts`` rows, reached
-    # through its module global at call time.
-    calls = []
+    # through its module global at call time; its starts are valued by one
+    # EI call over all of them.
+    calls, ei_rows = [], []
     descent = optimizers.swap_descent
+    ei = engine.expected_improvement_batch
 
     def counting(neighbourhood, starts, values, max_steps):
         calls.append((starts.shape, max_steps))
         return descent(neighbourhood, starts, values, max_steps)
 
+    def counting_ei(model, rows, incumbent):
+        ei_rows.append(len(rows))
+        return ei(model, rows, incumbent)
+
     monkeypatch.setattr(optimizers, "swap_descent", counting)
+    monkeypatch.setattr(engine, "expected_improvement_batch", counting_ei)
     _, objective = hidden_optimum_objective(4)
     run_algorithm(BoConfig(algorithm="bops-h", d=4, n_iters=2, n_init=3, restarts=3), objective)
     assert calls == [((3, 4), optimizers.max_steps(4))] * 2
+    assert ei_rows == [3] * 2
 
 
 class TestBopsT:
@@ -247,17 +255,17 @@ class TestBopsH:
     def test_selected_ei_beats_random_candidates(self, monkeypatch):
         # The best restart's EI must be at least the best EI among 100
         # uniform permutations. The pool comes from its own generator, and
-        # is scored while the search's objective still sees its model.
+        # is scored by the search's ``values`` while it still sees its model.
         d = 5
         pool_rng = np.random.default_rng(0xD1A6)
         checks = []
         search = engine.multi_restart_candidates
 
-        def audited(objective, d, restarts, rng, neighbourhood=None):
-            candidates = search(objective, d, restarts, rng, neighbourhood)
-            pool = [random_permutation(d, pool_rng) for _ in range(100)]
+        def audited(values, neighbourhood, d, restarts, rng):
+            candidates = search(values, neighbourhood, d, restarts, rng)
+            pool = np.stack([random_permutation(d, pool_rng).values for _ in range(100)])
             best_ei = -min(v for _, v in candidates)
-            checks.append((best_ei, max(-objective(p) for p in pool)))
+            checks.append((best_ei, -values(pool).min()))
             return candidates
 
         monkeypatch.setattr(engine, "multi_restart_candidates", audited)

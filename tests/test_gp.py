@@ -61,15 +61,16 @@ def _feature_space_posterior(m):
 
 
 class TestFit:
-    def test_single_observation_prediction(self):
-        # Fixed hyperparameters, no standardization: mean at the training
-        # point is v / (1 + noise), modulo the 1e-6 jitter.
+    def test_antipodal_pair_prediction(self):
+        # Fixed hyperparameters, p and its reversal valued +v and -v: the
+        # standardized targets +-1 are an eigenvector of the Gram matrix with
+        # eigenvalue 2s + noise + jitter, so the mean at p is v * 2s / that.
         p = Permutation([0, 1, 2, 3])
-        spec = KernelSpec("kendall", signal_variance=1.0, noise_variance=0.1)
-        v = 0.7
-        m = fit(spec, [p], [v], optimize=False, standardize=False)
+        s, noise, v = 1.0, 0.1, 0.7
+        spec = KernelSpec("kendall", signal_variance=s, noise_variance=noise)
+        m = fit(spec, [p, Permutation([3, 2, 1, 0])], [v, -v], optimize=False)
         mean, _ = predict(m, p)
-        assert mean == pytest.approx(v / 1.1, abs=1e-5)
+        assert mean == pytest.approx(v * 2 * s / (2 * s + noise + GRAM_JITTER * s), rel=1e-12)
 
     def test_constant_observations(self):
         rng = np.random.default_rng(0)
@@ -348,7 +349,7 @@ class TestTestNll:
         train = Permutation([0, 1, 2, 3])
         far = Permutation([1, 3, 0, 2])
         spec = KernelSpec("kendall", signal_variance=0.9, noise_variance=0.1)
-        m = fit(spec, [train], [0.0], optimize=False, standardize=False)
+        m = fit(spec, [train], [0.0], optimize=False)  # y = 0 standardizes to 0, mean 0, std 1
         got = predictive_nll(m, [far], [0.0])
         assert got == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
 

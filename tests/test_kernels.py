@@ -39,6 +39,12 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["lengthscale", "signal_variance", "noise_variance"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KernelSpec("mallows", **{field: value})
+
 
 class TestKendall:
     def test_self_similarity(self):

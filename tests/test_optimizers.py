@@ -12,6 +12,7 @@ from permbo.optimizers import (
     local_search,
     max_steps,
     multi_restart_candidates,
+    pointwise,
     solve_qap_exhaustive,
     solve_ts_qap_candidates,
     swap_descent,
@@ -44,7 +45,7 @@ def random_qap_objective(d, rng):
 
 
 def best_of_restarts(objective, d, restarts, rng):
-    return min(multi_restart_candidates(objective, d, restarts, rng), key=lambda r: r[1])
+    return min(multi_restart_candidates(*pointwise(objective), d, restarts, rng), key=lambda r: r[1])
 
 
 class TestSearchLimits:
@@ -56,7 +57,7 @@ class TestSearchLimits:
         objective, q = random_qap_objective(4, np.random.default_rng(0))
         for restarts in (0, -1):
             with pytest.raises(ValueError, match="restarts must be >= 1"):
-                multi_restart_candidates(objective, 4, restarts, np.random.default_rng(0))
+                multi_restart_candidates(*pointwise(objective), 4, restarts, np.random.default_rng(0))
             with pytest.raises(ValueError, match="restarts must be >= 1"):
                 solve_ts_qap_candidates(q, restarts, np.random.default_rng(0))
 
@@ -145,25 +146,6 @@ class TestLocalSearch:
             trajectory.append(v)
         assert all(a > b for a, b in zip(trajectory, trajectory[1:]))
 
-    def test_batch_objective_agrees(self):
-        rng = np.random.default_rng(7)
-        objective, q = random_qap_objective(6, rng)
-        iu, ju = np.triu_indices(6, 1)
-        wv = q.W[iu, ju]
-
-        def neighbourhood(rows):
-            return np.stack(
-                [np.sign(n[:, iu] - n[:, ju]) @ wv for n in map(swap_neighbor_matrix, rows)]
-            )
-
-        for seed in range(3):
-            by_rows = multi_restart_candidates(objective, 6, 5, np.random.default_rng(seed))
-            batched = multi_restart_candidates(
-                objective, 6, 5, np.random.default_rng(seed), neighbourhood
-            )
-            for (p1, v1), (p2, v2) in zip(by_rows, batched, strict=True):
-                assert p1 == p2 and v1 == pytest.approx(v2, abs=1e-12)
-
 
 class TestMultiRestart:
     def test_single_restart_equals_local_search(self):
@@ -202,16 +184,15 @@ class TestMultiRestart:
         # plateau, so restarts end on 0 or 3 and tie within each.
         target = random_permutation(5, np.random.default_rng(13))
         objective = lambda p: min(discordant_pairs(p, target), 3.0)  # noqa: E731
-        cands = multi_restart_candidates(objective, 5, 12, np.random.default_rng(6))
+        cands = multi_restart_candidates(*pointwise(objective), 5, 12, np.random.default_rng(6))
         rng = np.random.default_rng(6)
         starts = [random_permutation(5, rng) for _ in range(12)]
         results = [local_search(objective, s, max_steps(5)) for s in starts]
         assert sorted({v for _, v in results}) == [0.0, 3.0]
         assert cands == [r for v in (0.0, 3.0) for r in results if r[1] == v]
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["objective", "neighbourhood"])
     @pytest.mark.parametrize("case", ["ties", "nan", "cap1"])
-    def test_one_descent_gives_the_restarts_searched_one_by_one(self, case, batched, monkeypatch):
+    def test_one_descent_gives_the_restarts_searched_one_by_one(self, case, monkeypatch):
         # One lockstep descent over all restarts must give what local_search
         # gives from each start on its own: the same rows and values, in the
         # same best-first (stable) order. The capped distance ties restarts
@@ -223,19 +204,13 @@ class TestMultiRestart:
             n_d = float(discordant_pairs(p, target))
             return {"ties": min(n_d, 4.0), "nan": math.nan if n_d == 5 else n_d}.get(case, n_d)
 
-        def neighbourhood(rows):
-            return np.array([
-                [objective(Permutation._wrap(n)) for n in swap_neighbor_matrix(r)] for r in rows
-            ])
-
         steps = max_steps(d)
         if case == "cap1":
             monkeypatch.setattr(optimizers, "max_steps", lambda d: 1)
             steps = 1
         for seed in range(5):
             got = multi_restart_candidates(
-                objective, d, restarts, np.random.default_rng(seed),
-                neighbourhood if batched else None,
+                *pointwise(objective), d, restarts, np.random.default_rng(seed)
             )
             rng = np.random.default_rng(seed)
             starts = [random_permutation(d, rng) for _ in range(restarts)]
@@ -296,14 +271,18 @@ class TestSolveTsQap:
         cands = solve_ts_qap_candidates(q, 6, np.random.default_rng(4))
         assert len(cands) == 6
         assert [v for _, v in cands] == sorted(v for _, v in cands)
+        # Each value is carried along the walk from its start's full trace.
+        traces = ts_trace_batch(q.W, np.stack([p.values for p, _ in cands]))
+        np.testing.assert_allclose(
+            [v for _, v in cands], traces, rtol=0, atol=1e-12 * np.abs(q.W).sum()
+        )
 
 
 def ts_walk(W, starts, max_steps):
-    """The bops-t walk: traces relative to each start, scored by swap deltas."""
+    """The bops-t walk: the starts' full traces, moved by swap deltas."""
     g = W - W.T
     scores = lambda rows, v: v[:, None] + ts_swap_deltas(g, rows)  # noqa: E731
-    finals, _ = swap_descent(scores, starts, np.zeros(len(starts)), max_steps)
-    return finals, ts_trace_batch(W, finals)
+    return swap_descent(scores, starts, ts_trace_batch(W, starts), max_steps)
 
 
 def distance_neighbourhood(target):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,15 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Permutation([1, 2, 3])
+
+    @pytest.mark.parametrize("mapping", [[0.9, 1.1], [1.7, 0.2], [1.0, math.nan], [math.inf, 0.0]])
+    def test_non_integral_entries_rejected(self, mapping):
+        # Truncating would turn [0.9, 1.1] into [0, 1] and [1.7, 0.2] into [1, 0].
+        with pytest.raises(ValueError, match=re.escape(repr(mapping))):
+            Permutation(mapping)
+
+    def test_integral_floats_accepted(self):
+        assert Permutation([1.0, 0.0, 2.0]) == Permutation([1, 0, 2])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
