@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from . import accel
-from .perm import Permutation, kendall_feature_map, num_pairs
+from .perm import Permutation
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,15 @@ class TspInstance:
 
 @dataclass(frozen=True)
 class SyntheticObjective:
-    """Controlled test objective with a hidden optimum.
-
-    Scalar ``weights`` w gives w * n_d(p, target), minimized exactly at
-    ``target`` when w > 0. A length-C(d,2) vector instead gives the
-    linear form weights^T phi(p) (a draw from the Kendall weight-space
-    prior). Observation noise N(0, noise_sd^2) is added when noise_sd > 0.
+    """Controlled test objective with a hidden optimum: the discordant-pair
+    count n_d(p, target), minimized exactly at ``target``. Observation noise
+    N(0, noise_sd^2) is added when noise_sd > 0.
     """
 
     target: Permutation
-    weights: float | np.ndarray = 1.0
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if w.ndim == 1 and w.shape[0] != num_pairs(self.target.d):
-            raise ValueError(
-                f"weight vector must have length C(d,2)={num_pairs(self.target.d)}"
-            )
-        if w.ndim > 1:
-            raise ValueError("weights must be a scalar or a vector")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
 
@@ -110,6 +97,10 @@ def parse_qaplib(text: str) -> QapInstance:
     n = int(n_val)
     A = take(n * n, "matrix A").reshape(n, n)
     B = take(n * n, "matrix B").reshape(n, n)
+    if pos < len(tokens):
+        raise ValueError(
+            f"QAPLIB stream has {len(tokens) - pos} value(s) after matrix B; n = {n} takes {pos}"
+        )
     return QapInstance(n=n, A=A, B=B)
 
 
@@ -158,16 +149,20 @@ def parse_tsplib(text: str, subset: int | None = None) -> TspInstance:
                 key = key.strip().upper()
                 value = value.strip()
                 if key == "DIMENSION":
-                    dimension = int(value)
+                    try:
+                        dimension = int(value)
+                    except ValueError:
+                        raise ValueError(f"DIMENSION must be an integer, got {value!r}") from None
                 elif key == "EDGE_WEIGHT_TYPE":
                     edge_type = value.upper()
             continue
         if line.upper() == "EOF":
             break
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed coordinate line: {raw!r}")
-        coords.append((float(parts[1]), float(parts[2])))
+        try:
+            _, x, y = line.split()
+            coords.append((float(x), float(y)))
+        except ValueError:
+            raise ValueError(f"malformed coordinate line: {raw!r}") from None
 
     if dimension is None:
         raise ValueError("missing DIMENSION header")
@@ -213,11 +208,7 @@ def synthetic_objective(
     """Evaluate the synthetic objective; noise comes from the caller's stream."""
     if p.d != s.target.d:
         raise ValueError(f"dimension mismatch: {p.d} vs {s.target.d}")
-    w = np.asarray(s.weights, dtype=np.float64)
-    if w.ndim == 0:
-        value = float(w) * accel.discordant_count(p.values, s.target.values)
-    else:
-        value = float(w @ kendall_feature_map(p))
+    value = float(accel.discordant_count(p.values, s.target.values))
     if s.noise_sd > 0:
         if rng is None:
             raise ValueError("noise_sd > 0 requires a random generator")

@@ -128,7 +128,7 @@ def parse_benchmark(uri: str, seed: int) -> Benchmark:
         d = _int_option(kind, opts, "d", 2)
         noise = _scale_option(kind, opts, "noise", 0.0)
         target = random_permutation(d, np.random.default_rng(np.random.SeedSequence([seed, 0x7A26])))
-        synth = SyntheticObjective(target=target, weights=1.0, noise_sd=noise)
+        synth = SyntheticObjective(target=target, noise_sd=noise)
         return Benchmark(uri=uri, kind=kind, d=d, synth=synth)
     if kind == "qaplib":
         path, _, tail = rest.partition(",")
@@ -168,11 +168,6 @@ def make_objective(bench: Benchmark, rng: np.random.Generator):
 # --- run ----------------------------------------------------------------------
 
 
-def _rep_seeds(seed: int, rep: int) -> tuple[np.random.Generator, np.random.Generator]:
-    algo_ss, obj_ss = np.random.SeedSequence([seed, rep]).spawn(2)
-    return np.random.default_rng(algo_ss), np.random.default_rng(obj_ss)
-
-
 def run_one_rep(
     uri: str,
     algo: str,
@@ -187,16 +182,17 @@ def run_one_rep(
     bench = parse_benchmark(uri, seed)
     if bench.d != d_check:
         raise BenchmarkError(f"benchmark dimension changed between processes: {bench.d} vs {d_check}")
-    algo_rng, obj_rng = _rep_seeds(seed, rep)
+    # The algorithm and the objective's noise draw from separate streams.
+    algo_seed, obj_seed = np.random.SeedSequence([seed, rep]).spawn(2)
     cfg = BoConfig(
         algorithm=algo,
         d=bench.d,
         n_iters=n_iters,
         n_init=n_init,
         restarts=restarts,
-        seed=seed,
+        seed=algo_seed,
     )
-    trace = run_algorithm(cfg, make_objective(bench, obj_rng), algo_rng)
+    trace = run_algorithm(cfg, make_objective(bench, np.random.default_rng(obj_seed)))
     return [
         [rep, r.phase, r.index, r.perm.serialize(), repr(r.value), repr(r.best), repr(r.seconds)]
         for r in trace.records
@@ -298,7 +294,7 @@ def nll_experiment(
                 bench, size, n_test_sets, test_size, rng
             )
             for family in (KENDALL, MALLOWS):
-                model = fit(KernelSpec(family), train_x, train_y)
+                model = fit(family, train_x, train_y)
                 nlls = [test_nll(model, tx, ty) for tx, ty in tests]
                 rows.append([family, size, rep, repr(float(np.median(nlls)))])
     return rows

@@ -25,7 +25,7 @@ import numpy as np
 
 from .acquisition import build_qap, expected_improvement_batch, swap_neighbour_ei
 from .gp import fit, sample_weights, weight_posterior
-from .kernels import KENDALL, MALLOWS, KernelSpec
+from .kernels import KENDALL, MALLOWS
 from .optimizers import multi_restart_candidates, solve_ts_qap_candidates
 from .perm import Permutation, random_permutation
 
@@ -44,12 +44,15 @@ GA_OFFSPRING = 10
 
 @dataclass(frozen=True)
 class BoConfig:
+    """One run's settings. ``seed`` is anything ``np.random.default_rng``
+    takes: the run's whole random stream derives from it."""
+
     algorithm: str
     d: int
     n_iters: int
     n_init: int = 20
     restarts: int = 10
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -153,9 +156,8 @@ class _Run:
 
 def _propose_bops_t(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Thompson sampling with the Kendall weight-space posterior and a QAP solve."""
-    template = KernelSpec(KENDALL)
     while True:
-        model = fit(template, run.xs, run.ys)
+        model = fit(KENDALL, run.xs, run.ys)
         w = sample_weights(weight_posterior(model), rng)
         q = build_qap(w, run.cfg.d)
         yield run.pick_unevaluated(solve_ts_qap_candidates(q, run.cfg.restarts, rng), rng)
@@ -163,10 +165,9 @@ def _propose_bops_t(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
 
 def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation]:
     """Expected improvement under a Mallows GP, optimized by restarted local search."""
-    template = KernelSpec(MALLOWS)
     while True:
-        model = fit(template, run.xs, run.ys)
-        incumbent = min(run.ys)
+        model = fit(MALLOWS, run.xs, run.ys)
+        incumbent = run.best
         # The model is fitted on every evaluated point, so the points EI
         # scores zero as training points are exactly the evaluated ones.
         candidates = multi_restart_candidates(
@@ -195,17 +196,12 @@ def order_crossover(
     a: Permutation, b: Permutation, rng: np.random.Generator
 ) -> Permutation:
     """OX: copy a contiguous segment of the first parent, fill from the second in order."""
-    d = a.d
-    cut = np.sort(rng.choice(d + 1, size=2, replace=False))
+    cut = np.sort(rng.choice(a.d + 1, size=2, replace=False))
     start, end = int(cut[0]), int(cut[1])
-    child = np.full(d, -1, dtype=np.int64)
-    child[start:end] = a.values[start:end]
-    used = set(int(v) for v in a.values[start:end])
-    fill = [int(v) for v in np.roll(b.values, -end) if int(v) not in used]
-    positions = [i % d for i in range(end, end + d) if child[i % d] < 0]
-    for pos, val in zip(positions, fill):
-        child[pos] = val
-    return Permutation._wrap(child)
+    segment = a.values[start:end]
+    rest = np.roll(b.values, -end)
+    fill = rest[~np.isin(rest, segment)]
+    return Permutation._wrap(np.roll(np.concatenate([segment, fill]), start))
 
 
 def swap_mutation(p: Permutation, rng: np.random.Generator) -> Permutation:
@@ -238,15 +234,14 @@ _PROPOSERS = {
 }
 
 
-def run_algorithm(
-    cfg: BoConfig, objective: Objective, rng: np.random.Generator | None = None
-) -> BoTrace:
-    """Run ``cfg.algorithm``: ``n_init`` uniform draws, then ``n_iters`` proposals.
+def run_algorithm(cfg: BoConfig, objective: Objective) -> BoTrace:
+    """Run ``cfg.algorithm``: ``n_init`` uniform draws, then ``n_iters`` proposals,
+    all drawing from ``np.random.default_rng(cfg.seed)``.
 
     Each record's ``seconds`` runs from just before the point was chosen
     to the return of its evaluation.
     """
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     run = _Run(cfg, objective)
     for _ in range(cfg.n_init):
         t0 = time.perf_counter()

@@ -109,7 +109,6 @@ class GpModel:
 class WeightPosterior:
     """Gaussian over the C(d,2) Kendall feature weights: mean + Cholesky of covariance."""
 
-    d: int
     mean: np.ndarray
     cov_factor: np.ndarray
 
@@ -196,25 +195,19 @@ def _factor(
             )
 
 
-def fit(
-    spec_template: KernelSpec,
-    xs: Sequence[Permutation],
-    ys: Sequence[float],
-    *,
-    optimize: bool = True,
-) -> GpModel:
-    """Fit a GP to (xs, ys) with the kernel family of ``spec_template``.
+def fit(family: str, xs: Sequence[Permutation], ys: Sequence[float]) -> GpModel:
+    """Fit a GP of kernel ``family`` to (xs, ys) by ML-II on the hyperparameter grids.
 
-    With ``optimize`` (the default), signal variance, noise variance and
-    (Mallows only) lengthscale are chosen by minimizing the negative log
-    marginal likelihood over ``LENGTHSCALE_GRID``, ``SIGNAL_GRID`` and
-    ``NOISE_GRID``, read at call time; the search is deterministic. Each
-    lengthscale costs one tridiagonal reduction of its kernel matrix
-    bordered by the standardized targets; one pivot recurrence then
-    scores the whole grid, and the first minimum in (lengthscale, signal,
-    noise) order wins. With ``optimize=False`` the template's
-    hyperparameters are used as-is. Either way the chosen model is
-    Cholesky-factored for prediction.
+    Signal variance, noise variance and (Mallows only) lengthscale are
+    chosen by minimizing the negative log marginal likelihood over
+    ``LENGTHSCALE_GRID``, ``SIGNAL_GRID`` and ``NOISE_GRID``, read at call
+    time; the search is deterministic. Each lengthscale costs one
+    tridiagonal reduction of its kernel matrix bordered by the
+    standardized targets; one pivot recurrence then scores the whole
+    grid, and the first minimum in (lengthscale, signal, noise) order
+    wins. A Kendall spec keeps ``KernelSpec``'s default lengthscale, which
+    its kernel never reads. The chosen model is Cholesky-factored for
+    prediction.
     """
     xs = list(xs)
     ys = np.asarray(ys, dtype=np.float64)
@@ -227,26 +220,19 @@ def fit(
     nd = accel.discordance_matrix(x_array)
     counts = np.arange(num_pairs(d) + 1)
 
-    if optimize:
-        signals = np.asarray(SIGNAL_GRID, dtype=np.float64)
-        noises = np.asarray(NOISE_GRID, dtype=np.float64)
-        lengthscales = (
-            LENGTHSCALE_GRID if spec_template.family == MALLOWS else (spec_template.lengthscale,)
-        )
-        reductions = [
-            _bordered_tridiagonal(base_kernel_from_nd(spec_template.family, counts, d, ell)[nd], y_tilde)
-            for ell in lengthscales
-        ]
-        a, e, beta = (np.stack(parts) for parts in zip(*reductions))
-        table = _nlml_grid(a, e, beta, signals, noises)
-        k, i, j = np.unravel_index(np.argmin(table), table.shape)
-        if not np.isfinite(table[k, i, j]):
-            raise np.linalg.LinAlgError("no admissible hyperparameters on the grid")
-        spec = KernelSpec(
-            spec_template.family, lengthscales[k], float(signals[i]), float(noises[j])
-        )
-    else:
-        spec = spec_template
+    signals = np.asarray(SIGNAL_GRID, dtype=np.float64)
+    noises = np.asarray(NOISE_GRID, dtype=np.float64)
+    lengthscales = LENGTHSCALE_GRID if family == MALLOWS else (KernelSpec.lengthscale,)
+    reductions = [
+        _bordered_tridiagonal(base_kernel_from_nd(family, counts, d, ell)[nd], y_tilde)
+        for ell in lengthscales
+    ]
+    a, e, beta = (np.stack(parts) for parts in zip(*reductions))
+    table = _nlml_grid(a, e, beta, signals, noises)
+    k, i, j = np.unravel_index(np.argmin(table), table.shape)
+    if not np.isfinite(table[k, i, j]):
+        raise np.linalg.LinAlgError("no admissible hyperparameters on the grid")
+    spec = KernelSpec(family, lengthscales[k], float(signals[i]), float(noises[j]))
 
     base = base_kernel_from_nd(spec.family, counts, d, spec.lengthscale)
     L, jitter = _factor(base[nd], spec.signal_variance, spec.noise_variance)
@@ -401,7 +387,7 @@ def weight_posterior(m: GpModel) -> WeightPosterior:
     cov = -(s * s) * (V.T @ V)
     cov[np.diag_indices_from(cov)] += s
     mean = s * (phi.T @ m.alpha)
-    return WeightPosterior(d=m.d, mean=mean, cov_factor=cholesky(cov, lower=True))
+    return WeightPosterior(mean=mean, cov_factor=cholesky(cov, lower=True))
 
 
 def sample_weights(wp: WeightPosterior, rng: np.random.Generator) -> np.ndarray:

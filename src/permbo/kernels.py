@@ -56,9 +56,7 @@ def kendall_kernel(a: Permutation, b: Permutation) -> float:
     """(n_c - n_d)/C(d,2); equals 1 iff a == b, -1 at full reversal."""
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    m = num_pairs(a.d)
-    nd = accel.discordant_count(a.values, b.values)
-    return (m - 2 * nd) / m
+    return float(base_kernel_from_nd(KENDALL, accel.discordant_count(a.values, b.values), a.d))
 
 
 def mallows_kernel(a: Permutation, b: Permutation, lengthscale: float) -> float:
@@ -67,8 +65,9 @@ def mallows_kernel(a: Permutation, b: Permutation, lengthscale: float) -> float:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
     if lengthscale < 0:
         raise ValueError("lengthscale must be >= 0")
-    nd = accel.discordant_count(a.values, b.values)
-    return float(np.exp(-lengthscale * nd))
+    return float(
+        base_kernel_from_nd(MALLOWS, accel.discordant_count(a.values, b.values), a.d, lengthscale)
+    )
 
 
 def stack_values(points: Sequence[Permutation]) -> np.ndarray:
@@ -94,21 +93,18 @@ def base_kernel_from_nd(family: str, nd: np.ndarray, d: int, lengthscale: float 
     raise ValueError(f"unknown kernel family {family!r}")
 
 
-def gram_matrix(
-    spec: KernelSpec, points: Sequence[Permutation], jitter: bool = True
-) -> np.ndarray:
-    """Symmetric kernel matrix K[i,j] = signal_variance * k(pi_i, pi_j).
+def gram_matrix(spec: KernelSpec, points: Sequence[Permutation]) -> np.ndarray:
+    """Symmetric kernel matrix K[i,j] = signal_variance * k(pi_i, pi_j), plus
+    GRAM_JITTER * signal_variance on the diagonal.
 
-    With ``jitter`` (the default), GRAM_JITTER * signal_variance is added
-    to the diagonal; both kernels are positive semi-definite in exact
-    arithmetic but need this stabilization for Cholesky.
+    Both kernels are positive semi-definite in exact arithmetic but need
+    this stabilization for Cholesky.
     """
     x = stack_values(points)
     nd = accel.discordance_matrix(x)
     K = spec.signal_variance * base_kernel_from_nd(
         spec.family, nd, x.shape[1], spec.lengthscale
     )
-    if jitter:
-        K[np.diag_indices_from(K)] += GRAM_JITTER * spec.signal_variance
+    K[np.diag_indices_from(K)] += GRAM_JITTER * spec.signal_variance
     return K
 

@@ -36,11 +36,8 @@ class Permutation:
         if values.ndim != 1 or values.shape[0] < 2:
             raise ValueError(f"permutation needs at least 2 entries, got {values!r}")
         d = values.shape[0]
-        seen = np.zeros(d, dtype=bool)
-        for v in values:
-            if v < 0 or v >= d or seen[v]:
-                raise ValueError(f"not a bijection on 0..{d - 1}: {list(mapping)!r}")
-            seen[v] = True
+        if not np.array_equal(np.sort(values), np.arange(d)):
+            raise ValueError(f"not a bijection on 0..{d - 1}: {list(mapping)!r}")
         values.setflags(write=False)
         self.values = values
 

@@ -84,7 +84,7 @@ def test_criterion_03_weight_function_space_agreement():
     for n in (10, 40):
         xs = [random_permutation(d, rng) for _ in range(n)]
         ys = [float(kendall_kernel(p, xs[0])) + 0.05 * rng.standard_normal() for p in xs]
-        model = fit(KernelSpec("kendall"), xs, ys)
+        model = fit("kendall", xs, ys)
         wp = weight_posterior(model)
         cov = wp.cov_factor @ wp.cov_factor.T
         for _ in range(100):

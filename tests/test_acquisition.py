@@ -6,7 +6,6 @@ import pytest
 import permbo.acquisition as acq
 from permbo.acquisition import build_qap, expected_improvement_batch
 from permbo.gp import fit
-from permbo.kernels import KernelSpec
 from permbo.perm import (
     Permutation,
     kendall_feature_map,
@@ -36,7 +35,7 @@ def any_model():
     rng = np.random.default_rng(0)
     xs = [random_permutation(5, rng) for _ in range(6)]
     ys = [float(i) for i in range(6)]
-    return fit(KernelSpec("kendall"), xs, ys)
+    return fit("kendall", xs, ys)
 
 
 class TestExpectedImprovement:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permbo import cli, engine, optimizers
+from permbo import accel, acquisition, cli, engine, optimizers
 from permbo.benchmarks import SyntheticObjective, synthetic_objective
 from permbo.engine import (
     ALGORITHMS,
@@ -169,9 +169,18 @@ def test_benchmark_names_exist(module, name):
 
 def test_benchmark_call_signatures():
     # The tracer reads the step cap as local_search's third positional
-    # argument, and the benchmark child calls run_one_rep positionally.
-    assert list(inspect.signature(optimizers.local_search).parameters)[2] == "max_steps"
-    assert list(inspect.signature(cli.run_one_rep).parameters) == [
+    # argument and sizes the other spans from the positional arguments
+    # below; the benchmark child calls run_one_rep positionally.
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(optimizers.local_search)[2] == "max_steps"
+    assert params(engine.fit)[1] == "xs"
+    assert params(engine.expected_improvement_batch)[1] == "queries"
+    assert params(acquisition.predict_batch)[1] == "queries"
+    assert params(accel.ts_trace_batch)[1] == "perms"
+    assert params(accel.cross_discordance_matrix)[:2] == ["x", "y"]
+    assert params(cli.run_one_rep) == [
         "uri", "algo", "d_check", "n_iters", "n_init", "restarts", "seed", "rep",
     ]
 
@@ -331,6 +340,37 @@ class TestGa:
         start, end = int(cut[0]), int(cut[1])
         np.testing.assert_array_equal(child.values[start:end], a.values[start:end])
         Permutation(list(child))
+
+    def test_order_crossover_fills_from_second_parent_after_the_cut(self):
+        # default_rng(2) cuts at 2..5: a keeps [4, 0, 6]; b read from index 5
+        # around is 1 0 6 5 4 3 2, so the fill is 1 5 3 2 from index 5 around.
+        a = Permutation([3, 1, 4, 0, 6, 2, 5])
+        b = Permutation([6, 5, 4, 3, 2, 1, 0])
+        child = order_crossover(a, b, np.random.default_rng(2))
+        assert list(child) == [3, 2, 4, 0, 6, 1, 5]
+
+    def test_order_crossover_matches_the_loop_reference(self):
+        # The loop form OX is usually written in: fill the free positions
+        # from ``end`` around with b's values, read from ``end`` around.
+        def reference(a, b, rng):
+            d = a.d
+            cut = np.sort(rng.choice(d + 1, size=2, replace=False))
+            start, end = int(cut[0]), int(cut[1])
+            child = [-1] * d
+            child[start:end] = a.values[start:end]
+            fill = [v for v in np.roll(b.values, -end) if v not in a.values[start:end]]
+            for pos in (i % d for i in range(end, end + d) if child[i % d] < 0):
+                child[pos] = fill.pop(0)
+            return child
+
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            d = int(rng.integers(2, 16))
+            a, b = random_permutation(d, rng), random_permutation(d, rng)
+            seed = int(rng.integers(1 << 30))
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert list(order_crossover(a, b, got_rng)) == reference(a, b, want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_crossover_and_mutation_closed_over_sd(self):
         rng = np.random.default_rng(10)

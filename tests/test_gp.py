@@ -47,6 +47,16 @@ def _dense_nlml(spec, xs, y_tilde):
     return 0.5 * (quad + logdet + len(xs) * math.log(2 * math.pi))
 
 
+def _fit_at(monkeypatch, spec, xs, ys):
+    """``fit`` with every hyperparameter grid narrowed to ``spec``'s one point."""
+    monkeypatch.setattr(gp, "LENGTHSCALE_GRID", (spec.lengthscale,))
+    monkeypatch.setattr(gp, "SIGNAL_GRID", (spec.signal_variance,))
+    monkeypatch.setattr(gp, "NOISE_GRID", (spec.noise_variance,))
+    m = fit(spec.family, xs, ys)
+    assert m.spec == spec
+    return m
+
+
 def _feature_space_posterior(m):
     """Oracle: the weight posterior from the C(d,2) x C(d,2) precision matrix.
 
@@ -61,21 +71,21 @@ def _feature_space_posterior(m):
 
 
 class TestFit:
-    def test_antipodal_pair_prediction(self):
+    def test_antipodal_pair_prediction(self, monkeypatch):
         # Fixed hyperparameters, p and its reversal valued +v and -v: the
         # standardized targets +-1 are an eigenvector of the Gram matrix with
         # eigenvalue 2s + noise + jitter, so the mean at p is v * 2s / that.
         p = Permutation([0, 1, 2, 3])
         s, noise, v = 1.0, 0.1, 0.7
         spec = KernelSpec("kendall", signal_variance=s, noise_variance=noise)
-        m = fit(spec, [p, Permutation([3, 2, 1, 0])], [v, -v], optimize=False)
+        m = _fit_at(monkeypatch, spec, [p, Permutation([3, 2, 1, 0])], [v, -v])
         mean, _ = predict(m, p)
         assert mean == pytest.approx(v * 2 * s / (2 * s + noise + GRAM_JITTER * s), rel=1e-12)
 
     def test_constant_observations(self):
         rng = np.random.default_rng(0)
         xs = [random_permutation(5, rng) for _ in range(10)]
-        m = fit(KernelSpec("kendall"), xs, [3.25] * 10)
+        m = fit("kendall", xs, [3.25] * 10)
         for _ in range(20):
             mean, var = predict(m, random_permutation(5, rng))
             assert mean == pytest.approx(3.25, abs=1e-9)
@@ -89,7 +99,7 @@ class TestFit:
         xs = [random_permutation(8, rng) for _ in range(30)]
         prior = KernelSpec("mallows", lengthscale=0.5)
         ys = sample_gp_prior(prior, xs, rng) + 0.05 * rng.standard_normal(30)
-        m = fit(KernelSpec("mallows"), xs, ys)
+        m = fit("mallows", xs, ys)
 
         best = (math.inf, None)
         for ell in LENGTHSCALE_GRID:
@@ -107,8 +117,8 @@ class TestFit:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         xs, ys = _dataset(rng, 6, 15)
-        m1 = fit(KernelSpec("mallows"), xs, ys)
-        m2 = fit(KernelSpec("mallows"), xs, ys)
+        m1 = fit("mallows", xs, ys)
+        m2 = fit("mallows", xs, ys)
         assert m1.spec == m2.spec
         np.testing.assert_array_equal(m1.chol, m2.chol)
 
@@ -116,9 +126,9 @@ class TestFit:
         rng = np.random.default_rng(20)
         xs, ys = _dataset(rng, 7, 20)
         for family in ("kendall", "mallows"):
-            m = fit(KernelSpec(family), xs, ys)
-            K = gram_matrix(m.spec, xs, jitter=False)
-            want = K + (m.jitter + m.spec.noise_variance) * np.eye(20)
+            m = fit(family, xs, ys)
+            assert m.jitter == GRAM_JITTER * m.spec.signal_variance
+            want = gram_matrix(m.spec, xs) + m.spec.noise_variance * np.eye(20)
             got = m.chol @ m.chol.T
             assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
 
@@ -132,7 +142,7 @@ class TestFit:
             monkeypatch.setattr(gp, "SIGNAL_GRID", signals)
             monkeypatch.setattr(gp, "NOISE_GRID", noises)
             monkeypatch.setattr(gp, "LENGTHSCALE_GRID", lengthscales)
-            return fit(KernelSpec("mallows"), xs, ys)
+            return fit("mallows", xs, ys)
 
         without = fit_on_grids((0.5, 2.0), (1e-3, 1e-1), (0.1, 1.0))
         with_true = fit_on_grids((0.5, 1.0, 2.0), (1e-3, 1e-2, 1e-1), (0.1, 0.3, 1.0))
@@ -140,9 +150,13 @@ class TestFit:
 
     def test_rejects_empty_or_mismatched(self):
         with pytest.raises(ValueError):
-            fit(KernelSpec("kendall"), [], [])
+            fit("kendall", [], [])
         with pytest.raises(ValueError):
-            fit(KernelSpec("kendall"), [Permutation([0, 1])], [1.0, 2.0])
+            fit("kendall", [Permutation([0, 1])], [1.0, 2.0])
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown kernel family 'rbf'"):
+            fit("rbf", [Permutation([0, 1]), Permutation([1, 0])], [1.0, 2.0])
 
     def test_cholesky_escalates_then_fails_loudly(self):
         from permbo.gp import _factor
@@ -160,22 +174,22 @@ class TestFit:
 
 
 class TestPredict:
-    def test_interpolates_as_noise_vanishes(self):
+    def test_interpolates_as_noise_vanishes(self, monkeypatch):
         # Antipodal pair: the standardized targets lie in the well-conditioned
         # eigenspace, so jitter perturbs the interpolant by < 1e-6.
         a = Permutation([0, 1, 2, 3])
         b = Permutation([3, 2, 1, 0])
         spec = KernelSpec("kendall", signal_variance=1.0, noise_variance=1e-10)
-        m = fit(spec, [a, b], [1.0, 3.0], optimize=False)
+        m = _fit_at(monkeypatch, spec, [a, b], [1.0, 3.0])
         assert predict(m, a)[0] == pytest.approx(1.0, abs=1e-6)
         assert predict(m, b)[0] == pytest.approx(3.0, abs=1e-6)
 
-    def test_prior_reversion_far_from_data(self):
+    def test_prior_reversion_far_from_data(self, monkeypatch):
         # kendall([0,1,2,3], [1,3,0,2]) is exactly zero.
         train = Permutation([0, 1, 2, 3])
         far = Permutation([1, 3, 0, 2])
         spec = KernelSpec("kendall", signal_variance=0.8, noise_variance=0.05)
-        m = fit(spec, [train], [5.0], optimize=False)
+        m = _fit_at(monkeypatch, spec, [train], [5.0])
         mean, var = predict(m, far)
         assert mean == pytest.approx(m.y_mean, abs=1e-12)
         assert var == pytest.approx(0.8 * m.y_std**2, abs=1e-12)
@@ -183,7 +197,7 @@ class TestPredict:
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(4)
         xs, ys = _dataset(rng, 7, 30)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         queries = np.stack([random_permutation(7, rng).values for _ in range(1000)])
         _, variances, _ = predict_batch(m, queries)
         assert np.all(variances >= 0)
@@ -191,7 +205,7 @@ class TestPredict:
     def test_training_variance_below_far_variance(self):
         rng = np.random.default_rng(5)
         xs, ys = _dataset(rng, 8, 20)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         candidates = [random_permutation(8, rng) for _ in range(200)]
         far = max(
             candidates,
@@ -204,17 +218,17 @@ class TestPredict:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
         xs, ys = _dataset(rng, 5, 5)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         with pytest.raises(ValueError):
             predict(m, Permutation([0, 1, 2]))
 
 
 class TestNlml:
-    def test_single_point_closed_form(self):
+    def test_single_point_closed_form(self, monkeypatch):
         # 0.5*ln(1.1 + jitter) + 0.5*ln(2*pi); the spec quotes ~0.96657.
         p = Permutation([0, 1, 2])
         spec = KernelSpec("kendall", signal_variance=1.0, noise_variance=0.1)
-        m = fit(spec, [p], [4.2], optimize=False)  # standardized y is exactly 0
+        m = _fit_at(monkeypatch, spec, [p], [4.2])  # standardized y is exactly 0
         want = 0.5 * math.log(1.1 + GRAM_JITTER) + 0.5 * math.log(2 * math.pi)
         assert want == pytest.approx(0.966594, abs=1e-6)
         assert nlml(m) == pytest.approx(want, abs=1e-12)
@@ -224,7 +238,7 @@ class TestNlml:
         xs, ys = _dataset(rng, 6, 12)
         ys = np.append(ys, 1e6)
         xs.append(random_permutation(6, rng))
-        m = fit(KernelSpec("mallows"), xs, ys)
+        m = fit("mallows", xs, ys)
         assert np.isfinite(nlml(m))
 
     def test_matches_dense_logdet_oracle(self):
@@ -232,7 +246,7 @@ class TestNlml:
         for n in (5, 20, 50):
             xs, ys = _dataset(rng, 7, n)
             for family in ("kendall", "mallows"):
-                m = fit(KernelSpec(family), xs, ys)
+                m = fit(family, xs, ys)
                 assert nlml(m) == pytest.approx(
                     _dense_nlml(m.spec, xs, m.y_tilde), abs=1e-8
                 )
@@ -318,7 +332,7 @@ class TestNlmlTable:
         ys = np.arange(12.0) % 5
         for grid in ((800.0, 1000.0), (1000.0, 800.0)):
             monkeypatch.setattr(gp, "LENGTHSCALE_GRID", grid)
-            m = fit(KernelSpec("mallows"), xs, ys)
+            m = fit("mallows", xs, ys)
             assert m.spec.lengthscale == grid[0]
 
     def test_tie_goes_to_first_entry_in_grid_order(self, monkeypatch):
@@ -331,7 +345,7 @@ class TestNlmlTable:
         rng = np.random.default_rng(31)
         xs, ys = _dataset(rng, 6, 10)
         monkeypatch.setattr(gp, "LENGTHSCALE_GRID", (0.1, 0.2, 0.3))
-        m = fit(KernelSpec("mallows"), xs, ys)
+        m = fit("mallows", xs, ys)
         assert m.spec == KernelSpec("mallows", 0.2, SIGNAL_GRID[1], NOISE_GRID[2])
 
     def test_no_admissible_entry_fails_loudly(self, monkeypatch):
@@ -339,17 +353,17 @@ class TestNlmlTable:
         rng = np.random.default_rng(34)
         xs, ys = _dataset(rng, 6, 10)
         with pytest.raises(np.linalg.LinAlgError, match="no admissible"):
-            fit(KernelSpec("kendall"), xs, ys)
+            fit("kendall", xs, ys)
 
 
 class TestTestNll:
-    def test_standard_normal_case(self):
+    def test_standard_normal_case(self, monkeypatch):
         # One training point, query at kendall distance exactly 0: the
         # predictive is N(0, 0.9 + 0.1) = N(0, 1) and y = 0 scores 0.5*ln(2*pi).
         train = Permutation([0, 1, 2, 3])
         far = Permutation([1, 3, 0, 2])
         spec = KernelSpec("kendall", signal_variance=0.9, noise_variance=0.1)
-        m = fit(spec, [train], [0.0], optimize=False)  # y = 0 standardizes to 0, mean 0, std 1
+        m = _fit_at(monkeypatch, spec, [train], [0.0])  # y = 0 standardizes to 0, mean 0, std 1
         got = predictive_nll(m, [far], [0.0])
         assert got == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-9)
 
@@ -361,18 +375,18 @@ class TestTestNll:
         rng = np.random.default_rng(12)
         xs, ys = _dataset(rng, 5, 30)
         test_xs, test_ys = xs[20:], np.asarray(ys[20:])
-        m = fit(KernelSpec("mallows"), xs[:20], ys[:20])
-        m_scaled = fit(KernelSpec("mallows"), xs[:20], scale * np.asarray(ys[:20]))
+        m = fit("mallows", xs[:20], ys[:20])
+        m_scaled = fit("mallows", xs[:20], scale * np.asarray(ys[:20]))
         want = predictive_nll(m, test_xs, test_ys) + math.log(scale)
         got = predictive_nll(m_scaled, test_xs, scale * test_ys)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
-    def test_sharp_correct_predictions_score_negative(self):
+    def test_sharp_correct_predictions_score_negative(self, monkeypatch):
         rng = np.random.default_rng(9)
         xs = [random_permutation(6, rng) for _ in range(15)]
         ys = [0.01 * discordant_pairs(p, xs[0]) for p in xs]
         spec = KernelSpec("kendall", signal_variance=1.0, noise_variance=1e-8)
-        m = fit(spec, xs, ys, optimize=False)
+        m = _fit_at(monkeypatch, spec, xs, ys)
         assert predictive_nll(m, xs, ys) < -1.0
 
     def test_mallows_model_wins_on_mallows_data(self):
@@ -386,15 +400,15 @@ class TestTestNll:
             ys = sample_gp_prior(prior, perms, rng) + 0.1 * rng.standard_normal(100)
             train_x, train_y = perms[:50], ys[:50]
             test_x, test_y = perms[50:], ys[50:]
-            nll_m = predictive_nll(fit(KernelSpec("mallows"), train_x, train_y), test_x, test_y)
-            nll_k = predictive_nll(fit(KernelSpec("kendall"), train_x, train_y), test_x, test_y)
+            nll_m = predictive_nll(fit("mallows", train_x, train_y), test_x, test_y)
+            nll_k = predictive_nll(fit("kendall", train_x, train_y), test_x, test_y)
             wins += nll_m <= nll_k
         assert wins >= 8
 
     def test_empty_test_set_rejected(self):
         rng = np.random.default_rng(10)
         xs, ys = _dataset(rng, 5, 5)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         with pytest.raises(ValueError):
             predictive_nll(m, [], [])
 
@@ -402,7 +416,7 @@ class TestTestNll:
 def _prior_posterior(d, signal_variance):
     """The no-data weight posterior: zero mean, covariance signal_variance * I."""
     m = d * (d - 1) // 2
-    return WeightPosterior(d, np.zeros(m), math.sqrt(signal_variance) * np.eye(m))
+    return WeightPosterior(np.zeros(m), math.sqrt(signal_variance) * np.eye(m))
 
 
 class TestWeightPosterior:
@@ -414,14 +428,14 @@ class TestWeightPosterior:
         wp = _prior_posterior(5, 2.0)
         phi = kendall_feature_matrix(np.stack([p.values for p in xs]))
         cov = phi @ wp.cov_factor @ wp.cov_factor.T @ phi.T
-        K = gram_matrix(KernelSpec("kendall", signal_variance=2.0), xs, jitter=False)
-        np.testing.assert_allclose(cov, K, rtol=0, atol=1e-12)
+        K = gram_matrix(KernelSpec("kendall", signal_variance=2.0), xs)
+        np.testing.assert_allclose(cov + 2.0 * GRAM_JITTER * np.eye(12), K, rtol=0, atol=1e-12)
 
     def test_agrees_with_function_space(self):
         rng = np.random.default_rng(11)
         for n in (5, 20, 40):
             xs, ys = _dataset(rng, 10, n)
-            m = fit(KernelSpec("kendall"), xs, ys)
+            m = fit("kendall", xs, ys)
             wp = weight_posterior(m)
             cov = wp.cov_factor @ wp.cov_factor.T
             for _ in range(30):
@@ -437,7 +451,7 @@ class TestWeightPosterior:
     def test_matches_feature_space_oracle(self, n):
         rng = np.random.default_rng(40 + n)
         xs, ys = _dataset(rng, 10, n)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         wp = weight_posterior(m)
         mean, cov = _feature_space_posterior(m)
         assert np.max(np.abs(wp.mean - mean)) <= 1e-9
@@ -459,7 +473,7 @@ class TestWeightPosterior:
         monkeypatch.setattr(gp, "cholesky", fails_once)
         rng = np.random.default_rng(41)
         xs, ys = _dataset(rng, 8, 30)
-        m = fit(KernelSpec("kendall"), xs, ys)
+        m = fit("kendall", xs, ys)
         assert m.jitter == pytest.approx(10 * GRAM_JITTER * m.spec.signal_variance, rel=1e-12)
         wp = weight_posterior(m)
         mean, cov = _feature_space_posterior(m)
@@ -469,7 +483,7 @@ class TestWeightPosterior:
     def test_mallows_refused(self):
         rng = np.random.default_rng(12)
         xs, ys = _dataset(rng, 5, 8)
-        m = fit(KernelSpec("mallows"), xs, ys)
+        m = fit("mallows", xs, ys)
         with pytest.raises(ValueError, match="feature"):
             weight_posterior(m)
 

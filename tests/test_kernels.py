@@ -119,13 +119,13 @@ class TestMallows:
 class TestGramMatrix:
     def test_single_point(self):
         p = Permutation([1, 0, 2])
-        K = gram_matrix(KernelSpec("kendall", signal_variance=2.5), [p], jitter=False)
-        np.testing.assert_allclose(K, [[2.5]])
+        K = gram_matrix(KernelSpec("kendall", signal_variance=2.5), [p])
+        np.testing.assert_allclose(K, [[2.5 * (1 + GRAM_JITTER)]], rtol=1e-15)
 
     def test_duplicated_point_pre_jitter(self):
         p = Permutation([1, 0, 2])
-        K = gram_matrix(KernelSpec("kendall"), [p, p], jitter=False)
-        np.testing.assert_allclose(K, [[1.0, 1.0], [1.0, 1.0]])
+        K = gram_matrix(KernelSpec("kendall"), [p, p])
+        np.testing.assert_allclose(K - GRAM_JITTER * np.eye(2), [[1.0, 1.0], [1.0, 1.0]], rtol=1e-15)
 
     def test_jitter_on_diagonal(self):
         p, q = Permutation([0, 1, 2]), Permutation([2, 1, 0])
@@ -137,9 +137,9 @@ class TestGramMatrix:
         rng = np.random.default_rng(7)
         pts = [random_permutation(9, rng) for _ in range(30)]
         for spec in (KernelSpec("kendall"), KernelSpec("mallows", lengthscale=0.3)):
-            K = gram_matrix(spec, pts, jitter=False)
+            K = gram_matrix(spec, pts)
             np.testing.assert_allclose(K, K.T)
-            np.testing.assert_allclose(np.diag(K), np.ones(30))
+            np.testing.assert_allclose(np.diag(K), (1 + GRAM_JITTER) * np.ones(30))
 
     def test_psd_after_jitter_200_points(self):
         rng = np.random.default_rng(8)

@@ -20,7 +20,7 @@ from permbo.acquisition import _ei, expected_improvement_batch, swap_neighbour_e
 from permbo.benchmarks import SyntheticObjective, synthetic_objective
 from permbo.engine import BoConfig, run_algorithm
 from permbo.gp import fit, predict_batch, predict_swap_neighbours
-from permbo.kernels import KENDALL, MALLOWS, KernelSpec
+from permbo.kernels import KENDALL, MALLOWS
 from permbo.optimizers import swap_descent
 from permbo.perm import Permutation, num_pairs, random_permutation, swap_neighbor_matrix
 
@@ -47,7 +47,7 @@ def _case(rng, d, family, a, n=None):
     xs += [Permutation(list(neighbours[k])) for k in picked]
     xs += [Permutation(list(r)) for r in rows if rng.random() < 0.3]
     ys = rng.standard_normal(len(xs))
-    model = fit(KernelSpec(family), xs, ys)
+    model = fit(family, xs, ys)
     incumbent = float(np.min(ys) if rng.random() < 0.5 else np.quantile(ys, 0.8))
     return model, rows, incumbent
 
@@ -167,7 +167,7 @@ def _one_evaluated_d2_model(rng, family, copies):
     ys = rng.standard_normal(copies)
     if rng.random() < 0.5:
         ys[:] = ys[0]  # a deterministic objective's repeats
-    return fit(KernelSpec(family), [x] * copies, ys), x, float(np.min(ys))
+    return fit(family, [x] * copies, ys), x, float(np.min(ys))
 
 
 def test_d2_scan_reaches_a_pick_only_through_the_sign_of_its_ei():
@@ -188,7 +188,7 @@ def test_d2_scan_reaches_a_pick_only_through_the_sign_of_its_ei():
         alone = swap_neighbour_ei(model, x.values[None, :], incumbent)
         assert np.all(scan > 0.0) and np.all(alone > 0.0)
         y = Permutation(list(x.values[::-1]))
-        both = fit(KernelSpec(MALLOWS), [x, y], rng.standard_normal(2))
+        both = fit(MALLOWS, [x, y], rng.standard_normal(2))
         assert np.all(swap_neighbour_ei(both, np.stack([x.values] * a), incumbent) == 0.0)
 
 
