@@ -58,8 +58,7 @@ def swap_neighbour_ei(m: GpModel, perms: np.ndarray, incumbent: float) -> np.nda
     pairs in order.
 
     Row r is bit-identical to ``expected_improvement_batch`` on
-    ``swap_neighbor_matrix(perms[r])`` for d >= 3; at d = 2 the variances
-    behind it can differ in their last bits (``gp._standardized_moments``).
+    ``swap_neighbor_matrix(perms[r])`` (``gp.predict_swap_neighbours``).
     """
     return _ei(*predict_swap_neighbours(m, perms), incumbent, m.y_std)
 

@@ -24,12 +24,16 @@ n_d = 0..C(d,2): the fit gathers its Gram matrices from it, and the
 fitted model keeps the chosen one (``GpModel.kernel_table``). Every
 prediction reads the table at the (A, q, n) discordances of A blocks of
 q queries to the n training rows and goes through
-``_standardized_moments``: ``predict_batch`` counts the discordances
-against given rows (one block),
-``predict_swap_neighbours`` gets them for the 2-swap neighbourhoods of A
-rows at once (a block per row, each with the bits of that row alone)
-from swap deltas against the training sign stack, and ``test_nll``
-scores held-out data in standardized units.
+``_standardized_moments``: one GEMV per block against the solved weights
+for the means, and one GEMM per block against the transposed inverse of
+the Cholesky factor (``GpModel.chol_inv_t``, built once per model on its
+first prediction) for the variances, so each block gets the bits it
+would get alone. ``predict_batch`` counts the discordances against given
+rows (one block), ``predict_swap_neighbours`` gets them for the 2-swap
+neighbourhoods of A rows at once (a block per row) from swap deltas
+against the training sign stack, and ``test_nll`` scores held-out data
+in standardized units. The fit and the weight posterior solve against
+the factor itself and never build its inverse.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dsytrd, dsytrd_lwork, dtrtrs
+from scipy.linalg.lapack import dsytrd, dsytrd_lwork, dtrtri
 
 from . import accel
 from .kernels import (
@@ -60,8 +64,15 @@ NOISE_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 LENGTHSCALE_GRID = tuple(np.logspace(-2.0, 1.0, 16))
 
 #: Most (row, neighbour, training row) entries one 2-swap neighbourhood scan
-#: holds; ``predict_swap_neighbours`` scans larger batches a slice of rows at a time.
-SCAN_ENTRIES = 1 << 20
+#: holds; ``predict_swap_neighbours`` scans larger batches a slice of rows at a
+#: time. A slice keeps about four arrays of 8 bytes per entry alive at once
+#: (discordances, kernel values, the means' copy or the GEMM product), so
+#: 2^15 entries is about 1 MB, inside a 2 MB L2. In a sweep over
+#: d in {6, 10, 15, 30} and n from 20 to 160 (10-row scans, one BLAS thread,
+#: 2-core Xeon with 2 MB L2 per core), 2^15 was within 7 % of the fastest
+#: slice size at every (d, n) but one; at 3 * 2^14 and above the scan began
+#: to page-fault its arrays and slowed by up to 1.7x.
+SCAN_ENTRIES = 1 << 15
 
 #: Cholesky jitter escalates tenfold up to this multiple of the signal variance.
 MAX_JITTER = 1e-2
@@ -103,6 +114,16 @@ class GpModel:
     def sign_stack(self) -> np.ndarray:
         """``accel.sign_stack`` of the training rows."""
         return accel.sign_stack(self.x_array)
+
+    @functools.cached_property
+    def chol_inv_t(self) -> np.ndarray:
+        """L^-T for the Cholesky factor L, upper-triangular, C-ordered and read-only."""
+        inv, info = dtrtri(self.chol, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular inverse failed (trtri info {info})")
+        inv_t = inv.T
+        inv_t.setflags(write=False)
+        return inv_t
 
 
 @dataclass
@@ -268,12 +289,11 @@ def predict_swap_neighbours(
     ``perms``, as (A, C(d,2)) arrays with pairs in order.
 
     Row r gives the same bits as ``predict_batch`` on
-    ``swap_neighbor_matrix(perms[r])`` (for d >= 3; see
-    ``_standardized_moments``) without building those rows: the
+    ``swap_neighbor_matrix(perms[r])`` without building those rows: the
     discordances come from swap deltas against the training sign stack
     (``accel.swap_discordances``). A scan's arrays grow as A * C(d,2) * n,
-    so rows are scanned ``SCAN_ENTRIES // (C(d,2) * n)`` at a time; for
-    d >= 3 that changes no bits.
+    so rows are scanned ``SCAN_ENTRIES // (C(d,2) * n)`` at a time (at
+    least one), which keeps a slice's arrays in L2 and changes no bits.
     """
     rows = max(1, SCAN_ENTRIES // (num_pairs(m.d) * m.n))
     parts = [
@@ -297,25 +317,17 @@ def _query_discordances(m: GpModel, queries: Sequence[Permutation] | np.ndarray)
 
 def _standardized_moments(m: GpModel, kstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardized posterior means and latent variances, (A, q), from the C-ordered
-    (A, q, n) prior covariances of A blocks of q queries with the n training rows.
-
-    ``kstar`` is overwritten."""
+    (A, q, n) prior covariances of A blocks of q queries with the n training rows."""
     # Each block's mean is one GEMV over its C-ordered (n, q) block, which
     # is the GEMV the block gets alone; a plain (A * q, n) GEMV would round
-    # differently. The variances are one triangular solve over all A * q
-    # columns, which rounds a column as the block's own solve would when
-    # q >= 2: LAPACK solves a single column (q = 1) by a vector routine.
-    blocks, q, n = kstar.shape
+    # differently. The variances are s - sum((kstar @ L^-T)^2): np.matmul
+    # makes one GEMM per (q, n) block, all of one shape, so a block's
+    # bits are those it gets alone.
     mean_std = np.matmul(np.ascontiguousarray(kstar.transpose(0, 2, 1)).transpose(0, 2, 1), m.alpha)
-    # Read as (n, A * q), kstar is F-ordered, so f2py hands it to LAPACK
-    # trtrs without a copy, as solve_triangular would call it on the
-    # fit's Fortran-ordered factor, without its input checks.
-    v, info = dtrtrs(m.chol, kstar.reshape(blocks * q, n).T, lower=1, overwrite_b=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
+    v = np.matmul(kstar, m.chol_inv_t)
     v *= v
-    var_std = m.spec.signal_variance - np.sum(v, axis=0)
-    return mean_std, np.maximum(var_std, 0.0).reshape(blocks, q)
+    var_std = m.spec.signal_variance - np.sum(v, axis=2)
+    return mean_std, np.maximum(var_std, 0.0)
 
 
 def _moments(m: GpModel, nd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

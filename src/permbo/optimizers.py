@@ -7,10 +7,9 @@ steps them in lockstep, its ``neighbourhood`` scorer valuing all C(d,2)
 swaps of every walking row at once: bops-t the Thompson-sampling trace,
 bops-h expected improvement, ``pointwise`` any one-permutation objective.
 Each row must score as it would alone. For EI the GP layer's layout keeps
-that bit for bit (``gp._standardized_moments``: one GEMV per row's
-C-ordered (n, C(d,2)) block for the means, one triangular solve over the
-columns of the rows scanned together for the variances), except the last
-bits of the variances at d = 2, on which no pick depends.
+that bit for bit (``gp._standardized_moments``: per row's (C(d,2), n)
+block, one GEMV for the means and one GEMM against the inverse Cholesky
+factor for the variances).
 """
 
 from __future__ import annotations

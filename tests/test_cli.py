@@ -423,11 +423,14 @@ class TestCmdRun:
     def test_ctrl_c_with_jobs_does_not_wait_for_queued_replications(self, tmp_path):
         # Ctrl-C reaches the whole process group. The workers must ignore it
         # and be terminated with the pool, not finish the replications
-        # already queued to them (one takes several seconds here).
+        # already queued to them. A replication of 2,000 iterations refits
+        # its GP on up to 2,020 rows, so however fast the search, the run
+        # cannot end before the signal.
         out = tmp_path / "res"
+        reps = 4
         proc = subprocess.Popen(
             [sys.executable, "-m", "permbo", "run", "--benchmark", "synthetic:d=8",
-             "--algo", "bops-h", "--iters", "150", "--reps", "4", "--jobs", "2",
+             "--algo", "bops-h", "--iters", "2000", "--reps", str(reps), "--jobs", "2",
              "--out", str(out)],
             env=_permbo_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             start_new_session=True,
@@ -438,6 +441,7 @@ class TestCmdRun:
                 assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
                 time.sleep(0.05)
             time.sleep(1.0)
+            assert proc.poll() is None, proc.stderr.read()
             os.killpg(proc.pid, signal.SIGINT)
             sent = time.monotonic()
             _, err = proc.communicate(timeout=30.0)
@@ -451,6 +455,8 @@ class TestCmdRun:
         assert waited < 2.0
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
+        _, rows = read_csv(out / "raw.csv")
+        assert len({row[0] for row in rows}) < reps
 
     def test_headers_always_first_line(self, tmp_path):
         out = tmp_path / "res"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permbo import accel, acquisition, cli, engine, optimizers
+from permbo import accel, acquisition, cli, engine, gp, optimizers
 from permbo.benchmarks import SyntheticObjective, synthetic_objective
 from permbo.engine import (
     ALGORITHMS,
@@ -207,6 +207,24 @@ def test_bops_h_steps_all_restarts_in_one_swap_descent_per_iteration(monkeypatch
     run_algorithm(BoConfig(algorithm="bops-h", d=4, n_iters=2, n_init=3, restarts=3), objective)
     assert calls == [((3, 4), optimizers.max_steps(4))] * 2
     assert ei_rows == [3] * 2
+
+
+@pytest.mark.parametrize("algo, inverses", [("bops-t", 0), ("bops-h", 4)])
+def test_only_bops_h_builds_the_inverse_cholesky_factor(monkeypatch, algo, inverses):
+    # bops-t samples from the weight posterior, which solves against the
+    # factor itself; only EI predictions read ``GpModel.chol_inv_t``, one
+    # triangular inverse per fitted model.
+    calls = []
+    trtri = gp.dtrtri
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return trtri(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "dtrtri", counting)
+    _, objective = hidden_optimum_objective(6)
+    run_algorithm(BoConfig(algorithm=algo, d=6, n_iters=4, n_init=5, seed=7), objective)
+    assert calls == [(n, n) for n in range(5, 5 + inverses)]
 
 
 class TestBopsT:

@@ -215,6 +215,57 @@ class TestPredict:
         for x in xs:
             assert predict(m, x)[1] <= far_var + 1e-12
 
+    @pytest.mark.parametrize("family", ["kendall", "mallows"])
+    @pytest.mark.parametrize("case", ["distinct", "duplicated", "escalated"])
+    def test_matches_dense_solve_oracle(self, monkeypatch, family, case):
+        # Means and variances against a dense solve with the jittered Gram
+        # matrix, at training rows and random queries. "escalated" repeats
+        # six rows over n = 60 and fails the first Cholesky, so the factor
+        # carries ten times the base jitter. Over 300 random fits (d 2-9,
+        # n 2-159, half of them duplicated, a third escalated, targets
+        # scaled by 1e-3 to 1e3) the worst errors were 1.8e-13 * y_std for
+        # the means and 2.0e-15 * s * y_std^2 for the variances, with the
+        # inverse factor and with a triangular solve alike; the bounds
+        # below are ten times those.
+        rng = np.random.default_rng(23)
+        d = 7
+        if case == "distinct":
+            xs, ys = _dataset(rng, d, 50)
+        else:
+            rows = [random_permutation(d, rng) for _ in range(6)]
+            xs = [rows[k] for k in rng.integers(0, 6, size=60)]
+            ys = rng.standard_normal(60)
+        if case == "escalated":
+            real_cholesky = gp.cholesky
+            failed = []
+
+            def fails_once(a, lower=False):
+                if not failed:
+                    failed.append(a.shape)
+                    raise np.linalg.LinAlgError("not positive definite")
+                return real_cholesky(a, lower=lower)
+
+            monkeypatch.setattr(gp, "cholesky", fails_once)
+        m = fit(family, xs, ys)
+        escalations = 1 if case == "escalated" else 0
+        assert m.jitter == pytest.approx(
+            10**escalations * GRAM_JITTER * m.spec.signal_variance, rel=1e-12
+        )
+        queries = np.stack(
+            [x.values for x in xs[:10]] + [random_permutation(d, rng).values for _ in range(40)]
+        )
+        means, variances, _ = predict_batch(m, queries)
+
+        K = m.kernel_table[accel.discordance_matrix(m.x_array)]
+        M = K + (m.jitter + m.spec.noise_variance) * np.eye(m.n)
+        kstar = m.kernel_table[accel.cross_discordance_matrix(queries, m.x_array)]
+        want_means = m.y_mean + m.y_std * (kstar @ np.linalg.solve(M, m.y_tilde))
+        reduction = np.sum(kstar * np.linalg.solve(M, kstar.T).T, axis=1)
+        want_variances = m.y_std**2 * np.maximum(m.spec.signal_variance - reduction, 0.0)
+        assert np.max(np.abs(means - want_means)) <= 2e-12 * m.y_std
+        scale = m.spec.signal_variance * m.y_std**2
+        assert np.max(np.abs(variances - want_variances)) <= 2e-14 * scale
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(6)
         xs, ys = _dataset(rng, 5, 5)

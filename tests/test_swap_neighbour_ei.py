@@ -5,20 +5,15 @@ it scores the neighbourhoods of a whole (A, d) batch of rows at once. Row
 r must still give, bit for bit, what batch EI gives on
 ``swap_neighbor_matrix`` of row r alone, with evaluated points masked to
 zero, and the lockstep descent it drives must take the walk that each
-start takes alone. d = 2 is the one exception: there each row has a single
-neighbour, so A rows make an A-column solve where one row alone makes a
-one-column solve, which LAPACK rounds differently. At d = 2 only a batch
-of one keeps the variance bits, and the d = 2 tests check that the
-difference never reaches a pick.
+start takes alone. That holds at every d, d = 2 included, where each row
+has a single neighbour.
 """
 
 import numpy as np
 import pytest
 
-from permbo import accel, engine, gp
+from permbo import accel, gp
 from permbo.acquisition import _ei, expected_improvement_batch, swap_neighbour_ei
-from permbo.benchmarks import SyntheticObjective, synthetic_objective
-from permbo.engine import BoConfig, run_algorithm
 from permbo.gp import fit, predict_batch, predict_swap_neighbours
 from permbo.kernels import KENDALL, MALLOWS
 from permbo.optimizers import swap_descent
@@ -100,15 +95,8 @@ def test_scorer_is_bit_identical_to_batch_ei_on_built_neighbours(family):
                 assert means[r].tobytes() == want_means.tobytes()
                 assert list(evaluated[r]) == [b.tobytes() in seen for b in built]
                 assert list(want_evaluated) == list(evaluated[r])
-                if d > 2 or a == 1:
-                    assert variances[r].tobytes() == want_variances.tobytes()
-                    assert got[r].tobytes() == want_ei.tobytes()
-                else:
-                    scale = model.spec.signal_variance * model.y_std**2
-                    np.testing.assert_allclose(
-                        variances[r], want_variances, rtol=1e-12, atol=1e-12 * scale
-                    )
-                    np.testing.assert_allclose(got[r], want_ei, rtol=1e-9, atol=1e-12)
+                assert variances[r].tobytes() == want_variances.tobytes()
+                assert got[r].tobytes() == want_ei.tobytes()
             unmasked = _ei(means, variances, np.zeros_like(evaluated), incumbent, model.y_std)
             masked_something += int(np.any(unmasked[evaluated] > 0.0))
     assert masked_something > 0
@@ -117,12 +105,11 @@ def test_scorer_is_bit_identical_to_batch_ei_on_built_neighbours(family):
 def test_walk_matches_the_batch_scored_walk():
     # The lockstep descent over a batch of starts, scored by the batched
     # scorer, against each start's walk scored on built neighbour rows.
-    # At d = 2 only a batch of one keeps every bit (module doc).
     rng = np.random.default_rng(41)
     for trial in range(150):
         d = 2 + trial % 11
         family = MALLOWS if trial % 3 else KENDALL
-        a = 1 if d == 2 else BATCHES[trial % 4]
+        a = BATCHES[trial % 4]
         n = LARGE_N[trial % 2] if trial % 25 == 0 else None
         model, starts, incumbent = _case(rng, d, family, a, n)
         max_steps = (1, 2)[trial % 2] if trial % 7 == 0 else 10 * num_pairs(d)
@@ -137,8 +124,7 @@ def test_walk_matches_the_batch_scored_walk():
 
 def test_a_batch_scanned_in_slices_of_rows_keeps_its_bits():
     # A batch larger than ``gp.SCAN_ENTRIES`` allows is scanned a slice of
-    # rows at a time; a row's solve then has fewer columns beside it, which
-    # for d >= 3 changes no bits.
+    # rows at a time, which changes no bits.
     rng = np.random.default_rng(44)
     scans = []
 
@@ -147,7 +133,7 @@ def test_a_batch_scanned_in_slices_of_rows_keeps_its_bits():
         return swap_discordances(signs, perms)
 
     swap_discordances = accel.swap_discordances
-    for d in (3, 6, 15):
+    for d in (2, 3, 6, 15):
         for family in (KENDALL, MALLOWS):
             model, rows, _ = _case(rng, d, family, 10, 40)
             whole = predict_swap_neighbours(model, rows)
@@ -159,57 +145,3 @@ def test_a_batch_scanned_in_slices_of_rows_keeps_its_bits():
             assert scans == [3, 3, 3, 1]
             for got, want in zip(sliced, whole, strict=True):
                 assert got.tobytes() == want.tobytes()
-
-
-def _one_evaluated_d2_model(rng, family, copies):
-    """A d = 2 model fitted on ``copies`` evaluations of one of the two permutations."""
-    x = random_permutation(2, rng)
-    ys = rng.standard_normal(copies)
-    if rng.random() < 0.5:
-        ys[:] = ys[0]  # a deterministic objective's repeats
-    return fit(family, [x] * copies, ys), x, float(np.min(ys))
-
-
-def test_d2_scan_reaches_a_pick_only_through_the_sign_of_its_ei():
-    # Why the d = 2 bits never reach a trace. S_2 has two permutations, and
-    # a row's one neighbour is the other. If both are evaluated, the mask
-    # zeroes every score. Otherwise every unseen candidate is the same
-    # permutation y, so candidate order cannot change the pick, and only
-    # whether a walker at the evaluated point moves to y can: it moves
-    # when EI(y) > 0. Under the Mallows kernel bops-h fits, y keeps a
-    # posterior variance of at least s (1 - exp(-2 l)), so EI(y) is
-    # positive whatever the low bits.
-    rng = np.random.default_rng(43)
-    for trial in range(200):
-        model, x, incumbent = _one_evaluated_d2_model(rng, MALLOWS, int(rng.integers(1, 25)))
-        a = BATCHES[trial % 4]
-        at_x = np.repeat(x.values[None, :], a, axis=0)
-        scan = swap_neighbour_ei(model, at_x, incumbent)
-        alone = swap_neighbour_ei(model, x.values[None, :], incumbent)
-        assert np.all(scan > 0.0) and np.all(alone > 0.0)
-        y = Permutation(list(x.values[::-1]))
-        both = fit(MALLOWS, [x, y], rng.standard_normal(2))
-        assert np.all(swap_neighbour_ei(both, np.stack([x.values] * a), incumbent) == 0.0)
-
-
-@pytest.mark.parametrize("noise", [0.0, 0.5])
-def test_d2_traces_match_one_row_scans(noise):
-    # The same bops-h runs with every scan split into one-row scans, whose
-    # one-column solves round as one restart's scan does when it walks alone.
-    def one_row_scans(model, rows, incumbent):
-        return np.concatenate([swap_neighbour_ei(model, row[None, :], incumbent) for row in rows])
-
-    def trace(seed, n_init):
-        target = random_permutation(2, np.random.default_rng(seed))
-        synth = SyntheticObjective(target=target, noise_sd=noise)
-        noise_rng = np.random.default_rng(seed)
-        cfg = BoConfig(algorithm="bops-h", d=2, n_iters=4, n_init=n_init, seed=seed)
-        records = run_algorithm(cfg, lambda p: synthetic_objective(synth, p, noise_rng)).records
-        return [(r.perm.values.tolist(), r.value) for r in records]
-
-    for seed in range(12):
-        for n_init in (1, 2, 3):
-            want = trace(seed, n_init)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine, "swap_neighbour_ei", one_row_scans)
-                assert trace(seed, n_init) == want
