@@ -175,6 +175,7 @@ def _propose_bops_h(run: _Run, rng: np.random.Generator) -> Iterator[Permutation
             lambda rows, _: -swap_neighbour_ei(model, rows, incumbent),
             run.cfg.d, run.cfg.restarts, rng,
         )
+        del model  # its arrays, the inverse factor among them, go before the next fit
         yield run.pick_unevaluated(candidates, rng)
 
 

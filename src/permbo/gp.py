@@ -65,13 +65,14 @@ LENGTHSCALE_GRID = tuple(np.logspace(-2.0, 1.0, 16))
 
 #: Most (row, neighbour, training row) entries one 2-swap neighbourhood scan
 #: holds; ``predict_swap_neighbours`` scans larger batches a slice of rows at a
-#: time. A slice keeps about four arrays of 8 bytes per entry alive at once
-#: (discordances, kernel values, the means' copy or the GEMM product), so
-#: 2^15 entries is about 1 MB, inside a 2 MB L2. In a sweep over
-#: d in {6, 10, 15, 30} and n from 20 to 160 (10-row scans, one BLAS thread,
-#: 2-core Xeon with 2 MB L2 per core), 2^15 was within 7 % of the fastest
-#: slice size at every (d, n) but one; at 3 * 2^14 and above the scan began
-#: to page-fault its arrays and slowed by up to 1.7x.
+#: time. The rule: a slice's arrays must stay in L2 and be reused between
+#: slices. A slice peaks at about 21 bytes per entry (tracemalloc), so 2^15
+#: entries take 0.7 MB of a 2 MB L2. Measured on a 2-core Xeon, 2 MB L2 per
+#: core, one BLAS thread, over d in {6, 10, 15, 30} and n from 20 to 160:
+#: 2^15 was within 8 % of the fastest of 2^14, 3 * 2^13, 2^15 and 3 * 2^14
+#: for 5-row scans. From 3 * 2^14 entries (0.9 MB) up, 10-row scans at
+#: d >= 10 page-faulted their arrays on every scan (180 to 370 faults at
+#: 3 * 2^14, none at 2^15) and ran up to 1.7x slower.
 SCAN_ENTRIES = 1 << 15
 
 #: Cholesky jitter escalates tenfold up to this multiple of the signal variance.
