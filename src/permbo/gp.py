@@ -7,12 +7,21 @@ selected by exhaustive, deterministic grid search on the log marginal
 likelihood.
 
 The grid search makes one Householder tridiagonal reduction (LAPACK
-``sytrd``) per lengthscale, of the kernel matrix bordered by the
-standardized targets (``_bordered_tridiagonal``). One backward pivot
+``sytrd``) per lengthscale it scores, of the kernel matrix bordered by
+the standardized targets (``_bordered_tridiagonal``). One backward pivot
 recurrence then gives the negative log marginal likelihood of every
-(lengthscale, signal, noise) triple in n numpy steps (``_nlml_grid``;
-Golub & Van Loan, Matrix Computations, 8.3), and the first minimum in
-that order wins. The chosen model is Cholesky-factored for prediction,
+(signal, noise) pair of those lengthscales in n numpy steps
+(``_nlml_grid``; Golub & Van Loan, Matrix Computations, 8.3), and the
+first minimum in (lengthscale, signal, noise) grid order wins. Mallows
+lengthscales are scored in grid order, and one is skipped, without its
+reduction, only when a lower bound proves that it cannot reach the best
+NLML so far (``_nlml_lower_bound``): the log-determinant cannot fall as
+the lengthscale grows (Oppenheim's inequality), and Cauchy-Schwarz bounds
+the quadratic term by one weighted count over the discordances. The pick
+is therefore the whole grid's, bit for bit. Nothing is skipped for
+constant targets (or n = 1), for a lengthscale below every scored one,
+or for the Kendall kernel, which has one. The chosen model is
+Cholesky-factored for prediction,
 and the Kendall weight posterior reuses that factor (Woodbury), so
 weight-space and function-space posteriors share one factorization. An
 oracle test checks every grid entry against a dense log-determinant
@@ -74,6 +83,25 @@ LENGTHSCALE_GRID = tuple(np.logspace(-2.0, 1.0, 16))
 #: d >= 10 page-faulted their arrays on every scan (180 to 370 faults at
 #: 3 * 2^14, none at 2^15) and ran up to 1.7x slower.
 SCAN_ENTRIES = 1 << 15
+
+#: Lengthscales ``fit`` reduces before its first bound check; after that it
+#: reduces one per check. Each block costs one pivot recurrence of n numpy
+#: steps, so one-at-a-time checks from the start cost more than the
+#: reductions they save. Over the 400 fits of bops-h seed 0 (d = 6, 2 x 140
+#: fits up to n = 159; d = 15, 3 x 40 fits up to n = 59; one BLAS thread,
+#: 2-core Xeon), the median mean fit took 2.08 / 2.11 / 2.25 ms at d = 6 with
+#: first blocks of 4 / 3 / 5, and 0.93 / 1.00 / 1.09 ms at d = 15 (7 runs).
+_FIRST_BLOCK = 4
+
+#: ``fit`` skips a lengthscale only if its NLML lower bound is at least the
+#: best NLML so far plus this fraction of 1 + |best|. The dense-oracle test
+#: admits an error of max(1e-10 |v|, 1e-8) per table entry, and this margin
+#: is at least 100 times that. Over the 400 fits above, the table matched a
+#: dense evaluation within 1.5e-12 (1 + |v|), computed entries fell below
+#: their computed bounds by at most 1.8e-15 (1 + |v|), and no skip came
+#: closer than 2.4e-3 (1 + |best|) to the threshold, so the margin costs
+#: no skip.
+_BOUND_MARGIN = 1e-6
 
 #: Cholesky jitter escalates tenfold up to this multiple of the signal variance.
 MAX_JITTER = 1e-2
@@ -172,16 +200,18 @@ def _bordered_tridiagonal(K: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
 
 def _nlml_grid(
     a: np.ndarray, e: np.ndarray, beta: np.ndarray, signals: np.ndarray, noises: np.ndarray
-) -> np.ndarray:
-    """NLML for every (lengthscale, signal, noise) triple, from the reductions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """NLML and log|s K + c I| for every (lengthscale, signal, noise) triple,
+    from the reductions.
 
     ``a`` (L, n) and ``e`` (L, n - 1) are the diagonals and off-diagonals
     of the L unit-signal tridiagonals and ``beta`` (L,) the norms of the
     reduced targets. The pivots of s T + c I, c = GRAM_JITTER*s + noise,
     run backwards: u_n = s a_n + c, u_k = s a_k + c - s^2 e_k^2 / u_(k+1).
     Then log|s K + c I| = sum log u_k and y^T (s K + c I)^-1 y =
-    beta^2 / u_1. Entry [l, i, j] is ``inf`` unless every pivot is
-    positive (the matrix is positive definite) and the value is a number.
+    beta^2 / u_1. An entry is admissible if every pivot is positive (the
+    matrix is positive definite) and its NLML is a number; elsewhere the
+    NLML is ``inf`` and the log-determinant ``-inf``.
     """
     s = signals[None, :, None]
     diag = s * a.T[:, :, None, None] + (GRAM_JITTER * s + noises[None, None, :])
@@ -192,10 +222,96 @@ def _nlml_grid(
         u = pivots[n - 1] = diag[n - 1]
         for k in range(n - 2, -1, -1):
             u = pivots[k] = diag[k] - off[k] / u
-        val = 0.5 * (
-            (beta**2)[:, None, None] / u + np.sum(np.log(pivots), axis=0) + n * LOG_2PI
-        )
-    return np.where(np.all(pivots > 0.0, axis=0) & ~np.isnan(val), val, math.inf)
+        logdet = np.sum(np.log(pivots), axis=0)
+        val = 0.5 * ((beta**2)[:, None, None] / u + logdet + n * LOG_2PI)
+    admissible = np.all(pivots > 0.0, axis=0) & ~np.isnan(val)
+    return np.where(admissible, val, math.inf), np.where(admissible, logdet, -math.inf)
+
+
+def _nlml_lower_bound(
+    ells: np.ndarray,
+    q: np.ndarray,
+    yy: float,
+    n: int,
+    reduced_ells: np.ndarray,
+    reduced_logdet: np.ndarray,
+    signals: np.ndarray,
+    noises: np.ndarray,
+) -> np.ndarray:
+    """Lower bounds, (P, signal, noise), on the Mallows NLML at the P
+    lengthscales ``ells`` of n targets y, from the log-determinants
+    ``reduced_logdet`` (R, signal, noise) at the lengthscales
+    ``reduced_ells`` (R,). ``q`` (P,) holds y^T K_l y at ``ells`` and
+    ``yy`` = |y|^2 > 0.
+
+    Write M_l = s K_l + c I, c = GRAM_JITTER*s + noise. For l <= l',
+    K_l' = K_l o K_(l'-l) (elementwise), and K_(l'-l) has a unit
+    diagonal, so M_l' = M_l o K_(l'-l). The Mallows kernel is positive
+    definite for every l >= 0 (Jiao & Vert, ICML 2015), so Oppenheim's
+    inequality (Horn & Johnson, Matrix Analysis, 7.8) gives log|M_l'| >=
+    log|M_l|, and Cauchy-Schwarz gives y^T M_l'^-1 y >= |y|^4 / y^T M_l' y
+    = |y|^4 / (s q(l') + c |y|^2). Each entry takes the largest
+    log-determinant at or below its lengthscale; with none there (only
+    ``-inf``), the entry has no bound and is ``-inf``.
+    """
+    below = reduced_ells[None, :] <= ells[:, None]  # (P, R)
+    logdet = np.max(np.where(below[:, :, None, None], reduced_logdet, -math.inf), axis=1)
+    s = signals[None, :, None]
+    denom = s * q[:, None, None] + (GRAM_JITTER * s + noises[None, None, :]) * yy
+    with np.errstate(divide="ignore"):
+        quad = np.where(denom > 0.0, yy * yy / denom, -math.inf)
+    return 0.5 * (quad + logdet + n * LOG_2PI)
+
+
+def _nlml_table(
+    family: str,
+    nd: np.ndarray,
+    d: int,
+    y: np.ndarray,
+    ells: np.ndarray,
+    signals: np.ndarray,
+    noises: np.ndarray,
+) -> np.ndarray:
+    """``_nlml_grid`` over ``ells`` x ``signals`` x ``noises`` for the
+    discordance matrix ``nd`` of d-permutations and targets ``y``, with
+    ``inf`` at every lengthscale the bound rules out.
+
+    Lengthscales are reduced in grid order, the first ``_FIRST_BLOCK``
+    together and then one at a time. After each block, a remaining
+    lengthscale is dropped once ``_nlml_lower_bound`` puts every entry of
+    it at least the margin above the best NLML so far. A dropped entry is
+    then above the table's minimum, so the first minimum in grid order is
+    the one the whole table gives. Nothing is dropped when y = 0
+    (constant targets, or n = 1), and a Kendall fit has one lengthscale,
+    so it never reaches the bound.
+    """
+    counts = np.arange(num_pairs(d) + 1)
+    table = np.full((len(ells), len(signals), len(noises)), math.inf)
+    logdet = np.full(table.shape, -math.inf)
+    todo = list(range(len(ells)))
+    block, q = _FIRST_BLOCK, None
+    while todo:
+        batch, todo = todo[:block], todo[block:]
+        block = 1
+        reductions = [
+            _bordered_tridiagonal(base_kernel_from_nd(family, counts, d, ells[k])[nd], y)
+            for k in batch
+        ]
+        a, e, beta = (np.stack(parts) for parts in zip(*reductions))
+        table[batch], logdet[batch] = _nlml_grid(a, e, beta, signals, noises)
+        if not todo or not y.any():
+            continue
+        if q is None:
+            # y^T K_l y = sum_k exp(-l k) g_k, g_k the sum of y_i y_j over n_d(i, j) = k.
+            g = np.bincount(nd.ravel(), weights=np.outer(y, y).ravel(), minlength=len(counts))
+            q = base_kernel_from_nd(family, counts, d, ells[:, None]) @ g
+        bounds = _nlml_lower_bound(
+            ells[todo], q[todo], y @ y, len(y), ells, logdet, signals, noises
+        ).min(axis=(1, 2))
+        best = table.min()
+        threshold = best + _BOUND_MARGIN * (1.0 + abs(best))
+        todo = [k for k, bound in zip(todo, bounds) if bound < threshold]
+    return table
 
 
 def _factor(
@@ -223,13 +339,21 @@ def fit(family: str, xs: Sequence[Permutation], ys: Sequence[float]) -> GpModel:
     Signal variance, noise variance and (Mallows only) lengthscale are
     chosen by minimizing the negative log marginal likelihood over
     ``LENGTHSCALE_GRID``, ``SIGNAL_GRID`` and ``NOISE_GRID``, read at call
-    time; the search is deterministic. Each lengthscale costs one
-    tridiagonal reduction of its kernel matrix bordered by the
-    standardized targets; one pivot recurrence then scores the whole
-    grid, and the first minimum in (lengthscale, signal, noise) order
-    wins. A Kendall spec keeps ``KernelSpec``'s default lengthscale, which
-    its kernel never reads. The chosen model is Cholesky-factored for
-    prediction.
+    time; the search is deterministic, and the first minimum in
+    (lengthscale, signal, noise) grid order wins. Each lengthscale scored
+    costs one tridiagonal reduction of its kernel matrix bordered by the
+    standardized targets, and one pivot recurrence scores all of its
+    (signal, noise) pairs. Mallows lengthscales are scored in grid order,
+    the first four together and then one at a time; a remaining one is
+    skipped once a lower bound on its NLML, from the log-determinants
+    already scored and one weighted count of y_i y_j per discordance,
+    clears the best NLML so far by a margin (``_nlml_table``). A skipped
+    lengthscale cannot hold the minimum, so the pick is the whole grid's,
+    bit for bit. Nothing is skipped when the standardized targets are all
+    zero (constant targets, or n = 1) or for a lengthscale below every
+    scored one. A Kendall spec keeps ``KernelSpec``'s default lengthscale,
+    which its kernel never reads, and costs one reduction. The chosen
+    model is Cholesky-factored for prediction.
     """
     xs = list(xs)
     ys = np.asarray(ys, dtype=np.float64)
@@ -240,23 +364,17 @@ def fit(family: str, xs: Sequence[Permutation], ys: Sequence[float]) -> GpModel:
     y_mean, y_std, y_tilde = _standardize(ys)
 
     nd = accel.discordance_matrix(x_array)
-    counts = np.arange(num_pairs(d) + 1)
-
     signals = np.asarray(SIGNAL_GRID, dtype=np.float64)
     noises = np.asarray(NOISE_GRID, dtype=np.float64)
     lengthscales = LENGTHSCALE_GRID if family == MALLOWS else (KernelSpec.lengthscale,)
-    reductions = [
-        _bordered_tridiagonal(base_kernel_from_nd(family, counts, d, ell)[nd], y_tilde)
-        for ell in lengthscales
-    ]
-    a, e, beta = (np.stack(parts) for parts in zip(*reductions))
-    table = _nlml_grid(a, e, beta, signals, noises)
+    ells = np.asarray(lengthscales, dtype=np.float64)
+    table = _nlml_table(family, nd, d, y_tilde, ells, signals, noises)
     k, i, j = np.unravel_index(np.argmin(table), table.shape)
     if not np.isfinite(table[k, i, j]):
         raise np.linalg.LinAlgError("no admissible hyperparameters on the grid")
     spec = KernelSpec(family, lengthscales[k], float(signals[i]), float(noises[j]))
 
-    base = base_kernel_from_nd(spec.family, counts, d, spec.lengthscale)
+    base = base_kernel_from_nd(spec.family, np.arange(num_pairs(d) + 1), d, spec.lengthscale)
     L, jitter = _factor(base[nd], spec.signal_variance, spec.noise_variance)
     alpha = cho_solve((L, True), y_tilde)
     return GpModel(

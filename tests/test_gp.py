@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permbo import accel, gp
 from permbo.gp import (
@@ -312,7 +314,7 @@ def _grid(family, xs, y_tilde, lengthscales):
         for ell in lengthscales
     ]
     a, e, beta = (np.stack(parts) for parts in zip(*reductions))
-    return gp._nlml_grid(a, e, beta, np.array(SIGNAL_GRID), np.array(NOISE_GRID))
+    return gp._nlml_grid(a, e, beta, np.array(SIGNAL_GRID), np.array(NOISE_GRID))[0]
 
 
 def _assert_grid_matches_oracle(family, xs, y_tilde, lengthscales):
@@ -363,7 +365,7 @@ class TestNlmlTable:
         a, e, beta = gp._bordered_tridiagonal(K, y)
         table = gp._nlml_grid(
             a[None], e[None], np.array([beta]), np.array(SIGNAL_GRID), np.array(NOISE_GRID)
-        )[0]
+        )[0][0]
         for (i, s), (j, nv) in itertools.product(enumerate(SIGNAL_GRID), enumerate(NOISE_GRID)):
             M = s * K + (GRAM_JITTER * s + nv) * np.eye(3)
             definite = np.linalg.eigvalsh(M)[0] > 0.0
@@ -392,7 +394,7 @@ class TestNlmlTable:
         # (l, signal, noise) order must win.
         table = np.ones((3, 5, 4))
         table[1, 1, 2] = table[1, 2, 0] = table[2, 0, 0] = 0.0
-        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: table)
+        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: (table, np.zeros(table.shape)))
         rng = np.random.default_rng(31)
         xs, ys = _dataset(rng, 6, 10)
         monkeypatch.setattr(gp, "LENGTHSCALE_GRID", (0.1, 0.2, 0.3))
@@ -400,11 +402,143 @@ class TestNlmlTable:
         assert m.spec == KernelSpec("mallows", 0.2, SIGNAL_GRID[1], NOISE_GRID[2])
 
     def test_no_admissible_entry_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: np.full((1, 5, 4), math.inf))
+        table = np.full((1, 5, 4), math.inf)
+        monkeypatch.setattr(gp, "_nlml_grid", lambda *args: (table, np.zeros(table.shape)))
         rng = np.random.default_rng(34)
         xs, ys = _dataset(rng, 6, 10)
         with pytest.raises(np.linalg.LinAlgError, match="no admissible"):
             fit("kendall", xs, ys)
+
+
+def _exhaustive_fit(family, xs, ys):
+    """``fit`` with every lengthscale reduced: the grid argmin the bound must keep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gp, "_FIRST_BLOCK", len(gp.LENGTHSCALE_GRID))
+        return fit(family, xs, ys)
+
+
+def _assert_exhaustive_argmin(got, family, xs, ys):
+    """``got``, a fit of (xs, ys), is bit for bit the fit that reduces every lengthscale."""
+    want = _exhaustive_fit(family, xs, ys)
+    assert got.spec == want.spec
+    assert got.chol.tobytes() == want.chol.tobytes()
+    assert got.alpha.tobytes() == want.alpha.tobytes()
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    real = gp._bordered_tridiagonal
+    monkeypatch.setattr(gp, "_bordered_tridiagonal", lambda K, y: calls.append(1) or real(K, y))
+    return calls
+
+
+class TestBoundedLengthscaleSearch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(3, 8),
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        pool=st.sampled_from([None, 2, 5]),
+        noise=st.sampled_from([0.0, 0.1, 3.0]),
+    )
+    def test_pruned_fit_is_the_exhaustive_argmin(self, d, n, seed, pool, noise):
+        # ``pool`` draws the rows from that many permutations, so most are duplicated.
+        rng = np.random.default_rng(seed)
+        rows = [random_permutation(d, rng) for _ in range(pool or n)]
+        xs = [rows[k] for k in rng.integers(0, len(rows), size=n)] if pool else rows
+        ys = [discordant_pairs(p, rows[0]) + noise * rng.standard_normal() for p in xs]
+        _assert_exhaustive_argmin(fit("mallows", xs, ys), "mallows", xs, ys)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bopsh_d6_sized_fit(self, monkeypatch, seed):
+        # d = 6, n = 159, the size bopsh-d6 reaches. Its BO fits made 4.2
+        # reductions each (at most 8) against 16 for the whole grid; more
+        # than 8 here means the bound stopped ruling lengthscales out.
+        xs, ys = _dataset(np.random.default_rng(40 + seed), 6, 159, noise=0.0)
+        reductions = _count_reductions(monkeypatch)
+        m = fit("mallows", xs, ys)
+        assert len(reductions) <= 8
+        _assert_exhaustive_argmin(m, "mallows", xs, ys)
+
+    @pytest.mark.parametrize("n", [1, 15])
+    def test_constant_targets_reduce_every_lengthscale(self, monkeypatch, n):
+        # y = 0 (constant targets, or n = 1) gives no bound: nothing is skipped.
+        rng = np.random.default_rng(41)
+        xs = [random_permutation(6, rng) for _ in range(n)]
+        reductions = _count_reductions(monkeypatch)
+        m = fit("mallows", xs, [2.5] * n)
+        assert len(reductions) == len(LENGTHSCALE_GRID)
+        assert not m.y_tilde.any()
+        _assert_exhaustive_argmin(m, "mallows", xs, [2.5] * n)
+
+    def test_kendall_fit_does_no_extra_work(self, monkeypatch):
+        def no_bound(*args):
+            raise AssertionError("a Kendall fit computed a lengthscale bound")
+
+        monkeypatch.setattr(gp, "_nlml_lower_bound", no_bound)
+        reductions = _count_reductions(monkeypatch)
+        xs, ys = _dataset(np.random.default_rng(42), 7, 40)
+        fit("kendall", xs, ys)
+        assert len(reductions) == 1
+
+    def test_winner_at_the_top_of_the_grid(self):
+        # test_grid_selection_matches_independent_nlml_sweep's dataset: the
+        # winner is the largest lengthscale, 7.8e-14 below the next entry.
+        rng = np.random.default_rng(1)
+        xs = [random_permutation(8, rng) for _ in range(30)]
+        prior = KernelSpec("mallows", lengthscale=0.5)
+        ys = sample_gp_prior(prior, xs, rng) + 0.05 * rng.standard_normal(30)
+        m = fit("mallows", xs, ys)
+        assert m.spec.lengthscale == LENGTHSCALE_GRID[-1]
+        _assert_exhaustive_argmin(m, "mallows", xs, ys)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_unsorted_grid(self, monkeypatch, order):
+        # A lengthscale below every reduced one has no bound, so a reversed
+        # grid reduces every entry; the argmin is the grid-order one either way.
+        grid = list(LENGTHSCALE_GRID)
+        grid = grid[::-1] if order == "reversed" else [grid[k] for k in np.random.default_rng(43).permutation(len(grid))]
+        monkeypatch.setattr(gp, "LENGTHSCALE_GRID", tuple(grid))
+        xs, ys = _dataset(np.random.default_rng(44), 6, 50)
+        reductions = _count_reductions(monkeypatch)
+        m = fit("mallows", xs, ys)
+        if order == "reversed":
+            assert len(reductions) == len(grid)
+        _assert_exhaustive_argmin(m, "mallows", xs, ys)
+
+    @pytest.mark.parametrize("d, n", [(4, 12), (6, 40), (6, 159), (8, 30), (15, 59)])
+    def test_skipped_lengthscales_are_at_or_above_their_bound(self, monkeypatch, d, n):
+        # Each skipped lengthscale's whole table must sit at or above the
+        # bound that ruled it out, up to the dense-oracle tolerance (rel
+        # 1e-10, abs 1e-8), and that bound must clear the best NLML by the
+        # margin, which is 100 times that tolerance and more.
+        bounds, built = {}, set()
+        real_bound, real_kernel = gp._nlml_lower_bound, gp.base_kernel_from_nd
+
+        def spy_bound(ells, *args):
+            out = real_bound(ells, *args)
+            bounds.update(zip(ells.tolist(), out))  # the last bound of each is the one that skipped it
+            return out
+
+        def spy_kernel(family, nd, d, lengthscale=1.0):
+            if np.ndim(lengthscale) == 0:
+                built.add(float(lengthscale))
+            return real_kernel(family, nd, d, lengthscale)
+
+        monkeypatch.setattr(gp, "_nlml_lower_bound", spy_bound)
+        monkeypatch.setattr(gp, "base_kernel_from_nd", spy_kernel)
+        xs, ys = _dataset(np.random.default_rng(50 + n), d, n, noise=0.0)
+        m = fit("mallows", xs, ys)
+        skipped = [k for k, ell in enumerate(LENGTHSCALE_GRID) if float(ell) not in built]
+        assert skipped
+        table = _grid("mallows", xs, m.y_tilde, LENGTHSCALE_GRID)
+        best = table.min()
+        assert nlml(m) == pytest.approx(best, rel=1e-10, abs=1e-8)
+        for k in skipped:
+            bound = bounds[float(LENGTHSCALE_GRID[k])]
+            assert np.all(table[k] >= bound - np.maximum(1e-10 * np.abs(bound), 1e-8))
+            assert bound.min() >= best + gp._BOUND_MARGIN * (1.0 + abs(best))
+            assert bound.min() - best >= 100 * max(1e-10 * abs(best), 1e-8)
 
 
 class TestTestNll:
