@@ -204,9 +204,11 @@ def _run_rep_args(args: tuple) -> list[list]:
 
 
 def _pool_map(jobs: int, args: list[tuple]) -> Iterator[list[list]]:
-    # Workers ignore SIGINT, so Ctrl-C interrupts only this process; leaving
-    # the block terminates the workers instead of waiting for queued reps.
-    with multiprocessing.Pool(jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+    # One worker per replication at most. Workers ignore SIGINT, so Ctrl-C
+    # interrupts only this process; leaving the block terminates the
+    # workers instead of waiting for queued reps.
+    processes = min(jobs, len(args))
+    with multiprocessing.Pool(processes, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
         yield from pool.imap(_run_rep_args, args)
 
 

@@ -420,6 +420,30 @@ class TestCmdRun:
         ]
         assert aggregate(serial) == aggregate(parallel)
 
+    def test_pool_has_at_most_one_worker_per_replication(self, monkeypatch):
+        # A stand-in pool records the worker count and runs the replications
+        # in this process, so no worker is ever started.
+        started = []
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+        serial = list(replications("synthetic:d=5", "random", 6, 4, 2, 5, 9, 1))
+        capped = list(replications("synthetic:d=5", "random", 6, 4, 2, 5, 9, 500))
+        assert started == [2]
+        assert [[r[:6] for r in rows] for rows in capped] == [[r[:6] for r in rows] for rows in serial]
+
     def test_ctrl_c_with_jobs_does_not_wait_for_queued_replications(self, tmp_path):
         # Ctrl-C reaches the whole process group. The workers must ignore it
         # and be terminated with the pool, not finish the replications
