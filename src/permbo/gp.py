@@ -3,8 +3,8 @@
 Function-space fitting and prediction for both kernel families, plus the
 exact weight-space posterior over Kendall features used for Thompson
 sampling. Observations are standardized internally; hyperparameters are
-selected by exhaustive, deterministic grid search on the log marginal
-likelihood.
+selected by deterministic grid search on the log marginal likelihood,
+which picks what the exhaustive search picks.
 
 The grid search makes one Householder tridiagonal reduction (LAPACK
 ``sytrd``) per lengthscale it scores, of the kernel matrix bordered by
@@ -231,18 +231,17 @@ def _nlml_grid(
 def _nlml_lower_bound(
     ells: np.ndarray,
     q: np.ndarray,
-    yy: float,
-    n: int,
+    y: np.ndarray,
     reduced_ells: np.ndarray,
     reduced_logdet: np.ndarray,
     signals: np.ndarray,
     noises: np.ndarray,
 ) -> np.ndarray:
-    """Lower bounds, (P, signal, noise), on the Mallows NLML at the P
-    lengthscales ``ells`` of n targets y, from the log-determinants
-    ``reduced_logdet`` (R, signal, noise) at the lengthscales
-    ``reduced_ells`` (R,). ``q`` (P,) holds y^T K_l y at ``ells`` and
-    ``yy`` = |y|^2 > 0.
+    """Lower bounds, (P, signal, noise), on the Mallows NLML of the targets
+    ``y`` (not all zero) at the P lengthscales ``ells``, from the
+    log-determinants ``reduced_logdet`` (R, signal, noise) at the
+    lengthscales ``reduced_ells`` (R,). ``q`` (P,) holds y^T K_l y at
+    ``ells``.
 
     Write M_l = s K_l + c I, c = GRAM_JITTER*s + noise. For l <= l',
     K_l' = K_l o K_(l'-l) (elementwise), and K_(l'-l) has a unit
@@ -256,11 +255,10 @@ def _nlml_lower_bound(
     """
     below = reduced_ells[None, :] <= ells[:, None]  # (P, R)
     logdet = np.max(np.where(below[:, :, None, None], reduced_logdet, -math.inf), axis=1)
+    yy = y @ y
     s = signals[None, :, None]
-    denom = s * q[:, None, None] + (GRAM_JITTER * s + noises[None, None, :]) * yy
-    with np.errstate(divide="ignore"):
-        quad = np.where(denom > 0.0, yy * yy / denom, -math.inf)
-    return 0.5 * (quad + logdet + n * LOG_2PI)
+    quad = yy * yy / (s * q[:, None, None] + (GRAM_JITTER * s + noises[None, None, :]) * yy)
+    return 0.5 * (quad + logdet + len(y) * LOG_2PI)
 
 
 def _nlml_table(
@@ -305,9 +303,8 @@ def _nlml_table(
             # y^T K_l y = sum_k exp(-l k) g_k, g_k the sum of y_i y_j over n_d(i, j) = k.
             g = np.bincount(nd.ravel(), weights=np.outer(y, y).ravel(), minlength=len(counts))
             q = base_kernel_from_nd(family, counts, d, ells[:, None]) @ g
-        bounds = _nlml_lower_bound(
-            ells[todo], q[todo], y @ y, len(y), ells, logdet, signals, noises
-        ).min(axis=(1, 2))
+        bounds = _nlml_lower_bound(ells[todo], q[todo], y, ells, logdet, signals, noises)
+        bounds = bounds.min(axis=(1, 2))
         best = table.min()
         threshold = best + _BOUND_MARGIN * (1.0 + abs(best))
         todo = [k for k, bound in zip(todo, bounds) if bound < threshold]
@@ -344,7 +341,7 @@ def fit(family: str, xs: Sequence[Permutation], ys: Sequence[float]) -> GpModel:
     costs one tridiagonal reduction of its kernel matrix bordered by the
     standardized targets, and one pivot recurrence scores all of its
     (signal, noise) pairs. Mallows lengthscales are scored in grid order,
-    the first four together and then one at a time; a remaining one is
+    a first block together and then one at a time; a remaining one is
     skipped once a lower bound on its NLML, from the log-determinants
     already scored and one weighted count of y_i y_j per discordance,
     clears the best NLML so far by a margin (``_nlml_table``). A skipped

@@ -426,9 +426,15 @@ def _assert_exhaustive_argmin(got, family, xs, ys):
 
 
 def _count_reductions(monkeypatch):
+    """A list that grows by one entry per ``_bordered_tridiagonal`` call."""
     calls = []
     real = gp._bordered_tridiagonal
-    monkeypatch.setattr(gp, "_bordered_tridiagonal", lambda K, y: calls.append(1) or real(K, y))
+
+    def counted(K, y):
+        calls.append(K.shape)
+        return real(K, y)
+
+    monkeypatch.setattr(gp, "_bordered_tridiagonal", counted)
     return calls
 
 
@@ -483,7 +489,8 @@ class TestBoundedLengthscaleSearch:
 
     def test_winner_at_the_top_of_the_grid(self):
         # test_grid_selection_matches_independent_nlml_sweep's dataset: the
-        # winner is the largest lengthscale, 7.8e-14 below the next entry.
+        # winner is the largest lengthscale, less than 1e-13 below the
+        # best entry of the next one.
         rng = np.random.default_rng(1)
         xs = [random_permutation(8, rng) for _ in range(30)]
         prior = KernelSpec("mallows", lengthscale=0.5)
@@ -496,8 +503,9 @@ class TestBoundedLengthscaleSearch:
     def test_unsorted_grid(self, monkeypatch, order):
         # A lengthscale below every reduced one has no bound, so a reversed
         # grid reduces every entry; the argmin is the grid-order one either way.
-        grid = list(LENGTHSCALE_GRID)
-        grid = grid[::-1] if order == "reversed" else [grid[k] for k in np.random.default_rng(43).permutation(len(grid))]
+        grid = list(LENGTHSCALE_GRID)[::-1]
+        if order == "shuffled":
+            grid = [grid[k] for k in np.random.default_rng(43).permutation(len(grid))]
         monkeypatch.setattr(gp, "LENGTHSCALE_GRID", tuple(grid))
         xs, ys = _dataset(np.random.default_rng(44), 6, 50)
         reductions = _count_reductions(monkeypatch)
@@ -511,7 +519,7 @@ class TestBoundedLengthscaleSearch:
         # Each skipped lengthscale's whole table must sit at or above the
         # bound that ruled it out, up to the dense-oracle tolerance (rel
         # 1e-10, abs 1e-8), and that bound must clear the best NLML by the
-        # margin, which is 100 times that tolerance and more.
+        # margin, which is at least 100 times that tolerance.
         bounds, built = {}, set()
         real_bound, real_kernel = gp._nlml_lower_bound, gp.base_kernel_from_nd
 
@@ -538,7 +546,6 @@ class TestBoundedLengthscaleSearch:
             bound = bounds[float(LENGTHSCALE_GRID[k])]
             assert np.all(table[k] >= bound - np.maximum(1e-10 * np.abs(bound), 1e-8))
             assert bound.min() >= best + gp._BOUND_MARGIN * (1.0 + abs(best))
-            assert bound.min() - best >= 100 * max(1e-10 * abs(best), 1e-8)
 
 
 class TestTestNll:
